@@ -34,10 +34,8 @@
 #define FOCUS_BENCH_HAVE_SIMD 1
 #endif
 
-#if __has_include("tensor/bf16.h")
-#include "tensor/bf16.h"
-#include "tensor/precision.h"
-#define FOCUS_BENCH_HAVE_BF16 1
+#if __has_include("tensor/precision.h")
+#define FOCUS_BENCH_HAVE_INT8 1
 #endif
 
 #if __has_include("plan/plan.h")
@@ -80,8 +78,7 @@ void ReportGflops(benchmark::State& state, int64_t flops_per_iter) {
 
 // Operand bytes moved per op (inputs read + outputs written, ideal
 // cache behaviour). Feeds the schema's optional bytes_per_op field so
-// bench_diff can attribute a speedup to bytes-moved reduction (the
-// mixed-precision benches halve this against their f32 twins).
+// bench_diff can attribute a speedup to bytes-moved reduction.
 void ReportBytes(benchmark::State& state, int64_t bytes_per_iter) {
   state.counters["bytes_per_op"] = static_cast<double>(bytes_per_iter);
 }
@@ -101,32 +98,6 @@ void BM_MatMul(benchmark::State& state) {
   ReportThreads(state);
 }
 BENCHMARK(BM_MatMul)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
-
-#ifdef FOCUS_BENCH_HAVE_BF16
-// The same square matmul with bf16 weight storage (f32 accumulate):
-// eager MatMul routes through pack + MatMulBf16Kernel when the ambient
-// precision is not f32 and B is a parameter (requires_grad). The eager
-// loop re-packs B every call, so this measures the worst case — plan
-// replay folds the pack into a pinned bf16 constant. bytes_per_op
-// counts the matmul step's operands (4-byte A, 2-byte B16, 4-byte C).
-void BM_MatMulBf16(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  Rng rng(1);
-  Tensor a = Tensor::Randn({n, n}, rng);
-  Tensor b = Tensor::Randn({n, n}, rng);
-  b.SetRequiresGrad(true);  // mark as a parameter: enables the bf16 route
-  NoGradGuard no_grad;
-  PrecisionGuard precision(Precision::kBf16);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MatMul(a, b).data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-  ReportGflops(state, 2 * n * n * n);
-  ReportBytes(state, n * n * (4 + 2 + 4));
-  ReportThreads(state);
-}
-BENCHMARK(BM_MatMulBf16)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
-#endif  // FOCUS_BENCH_HAVE_BF16
 
 // Batched matmul at the shapes the fig6 efficiency bench drives through
 // ProtoAttn / the transformer baselines: (B, l, d) @ (B, d, d).
@@ -234,34 +205,7 @@ void BM_VecExp(benchmark::State& state) {
 }
 BENCHMARK(BM_VecExp)->Arg(4096)->Arg(1 << 16);
 
-#ifdef FOCUS_BENCH_HAVE_BF16
-// Raw bf16 elementwise add: load-convert two bf16 streams, add in f32,
-// round-store bf16. 6 bytes/element vs the f32 kernel's 12.
-void BM_VecAddBf16(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  std::vector<float> src(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    src[static_cast<size_t>(i)] =
-        -4.0f + 8.0f * static_cast<float>(i) / static_cast<float>(n);
-  }
-  std::vector<uint16_t> a(static_cast<size_t>(n));
-  std::vector<uint16_t> b(static_cast<size_t>(n));
-  std::vector<uint16_t> y(static_cast<size_t>(n));
-  const auto& table = simd::Kernels();
-  table.pack_bf16(src.data(), a.data(), n);
-  table.pack_bf16(src.data(), b.data(), n);
-  const auto kern = table.add_bf16;
-  for (auto _ : state) {
-    kern(a.data(), b.data(), y.data(), n);
-    benchmark::DoNotOptimize(y.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  ReportBytes(state, 3 * n * 2);
-  state.SetLabel(simd::BackendName());
-}
-BENCHMARK(BM_VecAddBf16)->Arg(4096)->Arg(1 << 16);
-
+#ifdef FOCUS_BENCH_HAVE_INT8
 // Raw int8 dot product — the inner loop of the int8proto assignment
 // sweep (one call per token/prototype pair).
 void BM_VecDotI8(benchmark::State& state) {
@@ -281,7 +225,7 @@ void BM_VecDotI8(benchmark::State& state) {
   state.SetLabel(simd::BackendName());
 }
 BENCHMARK(BM_VecDotI8)->Arg(16)->Arg(64)->Arg(4096);
-#endif  // FOCUS_BENCH_HAVE_BF16
+#endif  // FOCUS_BENCH_HAVE_INT8
 #endif  // FOCUS_BENCH_HAVE_SIMD
 
 // ProtoAttn forward cost as the token count l grows: expect ~linear time.
@@ -548,7 +492,7 @@ int main(int argc, char** argv) {
   // strings must outlive Initialize (it keeps the pointers).
   static std::string smoke_filter =
       "--benchmark_filter="
-      "BM_MatMul/256$|BM_MatMulBf16/256$|BM_MatMulBatched/32/96/64$|"
+      "BM_MatMul/256$|BM_MatMulBatched/32/96/64$|"
       "BM_Conv1d/16/32/96$|"
       "BM_LayerNormLastDim/3072/64$|BM_SoftmaxLastDim/128$|"
       "BM_ElementwiseExp/65536$|BM_ProtoAttnForward/64$|"

@@ -2,10 +2,7 @@
 # One-command correctness gate: runs the full matrix the CI would run.
 #
 #   1. lint      — scripts/focus_lint.py (repo + format rules), plus
-#                  clang-format/clang-tidy when those tools are installed,
-#                  plus scripts/focus_analyze.py (libclang AST-level
-#                  semantic rules over compile_commands.json, gated the
-#                  same way; its pure-Python offline selftest always runs).
+#                  clang-format/clang-tidy when those tools are installed.
 #   2. default   — Release build with -Werror; full ctest suite.
 #   3. simdoff   — Release build with -DFOCUS_SIMD=OFF (the AVX2 backend is
 #                  not even compiled); re-runs the `parity` and `core` test
@@ -20,11 +17,11 @@
 #                  parallel-sensitive tests with FOCUS_NUM_THREADS=4 and 8
 #                  (registered by tests/CMakeLists.txt under FOCUS_TSAN).
 #   6. precision — re-runs the `parity` tests and the `quant`
-#                  accuracy-budget gate with FOCUS_PRECISION=bf16 and then
-#                  =int8proto in the default Release build: the bit-identity
-#                  contracts (eager/planned/served, scalar/avx2) must hold
-#                  in every precision mode, and the MSE deltas must stay
-#                  inside the budgets committed in bench/bench_quant.cc.
+#                  accuracy-budget gate with FOCUS_PRECISION=int8proto in
+#                  the default Release build: the bit-identity contracts
+#                  (eager/planned/served, scalar/avx2) must hold in every
+#                  precision mode, and the MSE delta must stay inside the
+#                  budget committed in bench/bench_quant.cc.
 #
 # An optional `perf` leg (not in the default matrix — it needs a quiet
 # machine) builds bench_kernels + bench_serve in Release, runs their
@@ -42,9 +39,8 @@
 # Usage:
 #   scripts/check.sh                # full matrix
 #   scripts/check.sh lint           # one leg:
-#                                   #   lint|analyze|default|simdoff|asan|
-#                                   #   tsan|precision|perf (analyze = just
-#                                   #   the focus_analyze part of lint)
+#                                   #   lint|default|simdoff|asan|tsan|
+#                                   #   precision|perf
 #   FOCUS_CHECK_JOBS=8 scripts/check.sh   # override build parallelism
 set -euo pipefail
 
@@ -75,31 +71,6 @@ run_leg_lint() {
   else
     echo "check.sh: clang-tidy not installed; skipping (.clang-tidy config" \
          "still applies wherever the tool is available)"
-  fi
-
-  run_leg_analyze
-}
-
-run_leg_analyze() {
-  # Semantic contract analyzer (libclang AST rules: plan-capture-safety,
-  # lock-across-parallel, unnamed-raii, raw-getenv, nondeterministic-emit,
-  # op-entry-guard). Gated on clang.cindex availability exactly like the
-  # clang-format/clang-tidy steps above; the offline selftest (pure
-  # Python) runs everywhere.
-  note "lint (focus_analyze.py offline selftest)"
-  python3 scripts/focus_analyze.py --selftest-offline
-
-  if python3 scripts/focus_analyze.py --probe >/dev/null 2>&1; then
-    note "lint (focus_analyze.py fixture selftest)"
-    python3 scripts/focus_analyze.py --selftest
-    note "lint (focus_analyze.py semantic rules over the tree)"
-    # Configure-only: emitting compile_commands.json needs no build.
-    # Benchmarks/examples stay ON so their TUs are in the database.
-    cmake -B build-analyze -S . >/dev/null
-    python3 scripts/focus_analyze.py --compile-db build-analyze
-  else
-    echo "check.sh: clang.cindex (libclang) not installed; skipping" \
-         "focus_analyze semantic rules (offline selftest still ran)"
   fi
 }
 
@@ -146,8 +117,8 @@ run_leg_asan() {
   # float read ASan/UBSan can attribute precisely, instead of a 32-byte
   # vector load that can mask a 4-byte overrun.
   # FOCUS_PRECISION=f32 pins the sanitizer run to the default precision
-  # even when the invoking shell exported a mixed-precision mode: the
-  # precision leg owns bf16/int8proto coverage, and a sanitizer failure
+  # even when the invoking shell exported FOCUS_PRECISION=int8proto: the
+  # precision leg owns int8proto coverage, and a sanitizer failure
   # should always reproduce under the one canonical configuration.
   FOCUS_ALLOC_CACHE_MB=0 FOCUS_SIMD=scalar FOCUS_PRECISION=f32 \
     configure_build_test build-asan \
@@ -155,11 +126,11 @@ run_leg_asan() {
 }
 
 run_leg_precision() {
-  # Mixed-precision sweep over the default Release build: every
-  # bit-identity contract (label `parity`: eager vs planned vs served,
-  # scalar vs avx2) must hold under each FOCUS_PRECISION mode, and the
-  # `quant` label runs bench_quant --smoke, which fails on any MSE delta
-  # beyond the per-dataset budgets committed in bench/bench_quant.cc.
+  # int8proto pass over the default Release build: every bit-identity
+  # contract (label `parity`: eager vs planned vs served, scalar vs avx2)
+  # must hold under FOCUS_PRECISION=int8proto, and the `quant` label runs
+  # bench_quant --smoke, which fails on any MSE delta beyond the budget
+  # committed in bench/bench_quant.cc.
   # f32 needs no separate pass here — the default leg already ran the
   # whole suite at the default precision.
   local dir=build-check
@@ -168,11 +139,9 @@ run_leg_precision() {
     >/dev/null
   note "build $dir"
   cmake --build "$dir" -j "$JOBS"
-  for mode in bf16 int8proto; do
-    note "ctest $dir (-L 'parity|quant', FOCUS_PRECISION=$mode)"
-    FOCUS_PRECISION="$mode" ctest --test-dir "$dir" --output-on-failure \
-      -j "$JOBS" -L 'parity|quant'
-  done
+  note "ctest $dir (-L 'parity|quant', FOCUS_PRECISION=int8proto)"
+  FOCUS_PRECISION=int8proto ctest --test-dir "$dir" --output-on-failure \
+    -j "$JOBS" -L 'parity|quant'
 }
 
 run_leg_tsan() {
@@ -212,7 +181,6 @@ LEGS=("${@:-lint default simdoff precision asan tsan}")
 for leg in "${LEGS[@]}"; do
   case "$leg" in
     lint)      run_leg_lint ;;
-    analyze)   run_leg_analyze ;;
     default)   run_leg_default ;;
     simdoff)   run_leg_simdoff ;;
     precision) run_leg_precision ;;
@@ -220,7 +188,7 @@ for leg in "${LEGS[@]}"; do
     tsan)      run_leg_tsan ;;
     perf)      run_leg_perf ;;
     *) echo "check.sh: unknown leg '$leg'" \
-            "(want lint|analyze|default|simdoff|precision|asan|tsan|perf)" >&2
+            "(want lint|default|simdoff|precision|asan|tsan|perf)" >&2
        exit 2 ;;
   esac
 done

@@ -39,12 +39,11 @@ repo rules — correctness contracts from the parallel-kernel layer:
                      valid, so no other layer may hold one. No NOLINT
                      escape.
   precision-containment
-                     Mixed-precision conversion primitives stay behind the
-                     kernel table. Float-width conversion intrinsics
-                     (_mm*_cvt*, the F16C scalar pair, vcvtneps2bf16) are
-                     confined to src/tensor/simd/ — everything else narrows
-                     through pack_bf16/unpack_bf16, which is what keeps bf16
-                     rounding identical across backends. The int8 requantize
+                     Reduced-precision primitives stay behind the kernel
+                     table. Float-width conversion intrinsics (_mm*_cvt*,
+                     the F16C scalar pair) are confined to src/tensor/simd/,
+                     where both backends compile every kernel from one
+                     source so rounding is identical. The int8 requantize
                      primitive dot_i8 is additionally confined to
                      src/core/proto_attn.cc (the sole int8 consumer) plus
                      tests/ and bench/ which exercise the kernel directly; a
@@ -57,6 +56,16 @@ repo rules — correctness contracts from the parallel-kernel layer:
                      other holder would be ad-hoc manual memory management
                      outside the engine's checkout/return lifecycle. No
                      NOLINT escape.
+  raw-getenv         libc getenv / secure_getenv outside src/utils/. The
+                     hardened helpers (GetEnvOr / GetEnvIntInRangeOr in
+                     utils/env.h) own the warn-and-fallback contract for
+                     malformed values. Suppress a deliberate use (e.g. an
+                     env save/restore that must tell unset from empty) with
+                     // NOLINT(focus-raw-getenv).
+  unnamed-raii       A TraceSpan, InferenceModeGuard or std lock guard
+                     constructed as an expression-statement temporary
+                     (`TraceSpan("x");`) dies at the ';' and guards
+                     nothing; bind it to a named local.
 
 format rules — mechanical style (what clang-format would enforce; kept
 tool-free so the check runs in a bare container):
@@ -175,6 +184,11 @@ def check_flop_in_parallel(path, raw, code):
                    "count out of the ParallelFor body")
 
 
+def nolint(raw_lines, ln, tag):
+    """True when line `ln` or the line above carries NOLINT(<tag>)."""
+    return f"NOLINT({tag})" in " ".join(raw_lines[max(0, ln - 2):ln])
+
+
 def check_raw_array_new(path, raw, code):
     if not any(str(path.relative_to(REPO_ROOT)).startswith(d)
                for d in KERNEL_DIRS):
@@ -182,8 +196,7 @@ def check_raw_array_new(path, raw, code):
     raw_lines = raw.splitlines()
     for m in re.finditer(r"\bnew\s+\w[\w:<>\s]*\[", code):
         ln = line_of(code, m.start())
-        context = " ".join(raw_lines[max(0, ln - 2):ln])
-        if "NOLINT(focus-raw-new)" in context:
+        if nolint(raw_lines, ln, "focus-raw-new"):
             continue
         report(path, ln, "raw-array-new",
                "raw array new in kernel code; allocate through the tracked "
@@ -248,7 +261,7 @@ def check_arena_containment(path, raw, code):
 
 
 def check_precision_containment(path, raw, code):
-    # bf16/f16 width conversions round; int8 requantization rescales. Both
+    # Float-width conversions round; int8 requantization rescales. Both
     # are deterministic only because exactly one implementation of each
     # exists (kernels.inc, both backends from one source). A raw
     # conversion intrinsic elsewhere — including the SSE/F16C ones the
@@ -259,13 +272,11 @@ def check_precision_containment(path, raw, code):
     rel = str(path.relative_to(REPO_ROOT)).replace("\\", "/")
     if rel.startswith("src/tensor/simd/"):
         return
-    cvt = (r"\b_mm\d*_cvt\w+|\b_mm_cvt\w+|\bvcvtneps2bf16\w*"
-           r"|\b_cvtss_sh\b|\b_cvtsh_ss\b")
+    cvt = r"\b_mm\d*_cvt\w+|\b_mm_cvt\w+|\b_cvtss_sh\b|\b_cvtsh_ss\b"
     for m in re.finditer(cvt, code):
         report(path, line_of(code, m.start()), "precision-containment",
                f"conversion intrinsic '{m.group(0)}' outside "
-               "src/tensor/simd/; narrow through the pack_bf16/unpack_bf16 "
-               "kernel-table entries")
+               "src/tensor/simd/; add a kernel-table entry instead")
     if (rel == "src/core/proto_attn.cc" or rel.startswith("tests/")
             or rel.startswith("bench/")):
         return
@@ -274,6 +285,56 @@ def check_precision_containment(path, raw, code):
                "dot_i8 outside src/core/proto_attn.cc; the int8 requantize "
                "path has exactly one product consumer — go through "
                "ProtoAttn::AssignTokens")
+
+
+def check_raw_getenv(path, raw, code):
+    # Calls only: a declaration (`char* getenv(...)`) is preceded by its
+    # return type, and a same-named function in another namespace
+    # (`helpers::getenv`) is not the libc one.
+    rel = str(path.relative_to(REPO_ROOT)).replace("\\", "/")
+    if rel.startswith("src/utils/"):
+        return
+    raw_lines = raw.splitlines()
+    for m in re.finditer(
+            r"(?:\b(\w+)\s*::\s*|::\s*)?\b((?:secure_)?getenv)\s*\(", code):
+        if m.group(1) not in (None, "std"):
+            continue  # another namespace's getenv
+        if re.search(r"\*\s*$", code[code.rfind("\n", 0, m.start()) + 1:
+                                     m.start()]):
+            continue  # `char* getenv(` declaration
+        ln = line_of(code, m.start())
+        if nolint(raw_lines, ln, "focus-raw-getenv"):
+            continue
+        report(path, ln, "raw-getenv",
+               f"raw {m.group(2)}() outside src/utils/; use GetEnvOr / "
+               "GetEnvIntInRangeOr (utils/env.h), or annotate "
+               "// NOLINT(focus-raw-getenv)")
+
+
+GUARD_TEMP_RE = re.compile(
+    r"(?:^|(?<=[;{}]))\s*((?:\w+::)*(?:TraceSpan|InferenceModeGuard|"
+    r"lock_guard|unique_lock|scoped_lock|shared_lock)\b(?:\s*<[^;{}()]*>)?)"
+    r"\s*([({])")
+# A parameter list names types: `const char* name`, `Options opts`,
+# `const X&`. Call arguments do not end a piece in a declarator.
+DECLARATOR_RE = re.compile(r"\w[\s*&]+\w+\s*(?:,|$)|[*&]\s*(?:,|$)")
+
+
+def check_unnamed_raii(path, raw, code):
+    for m in GUARD_TEMP_RE.finditer(code):
+        open_idx = m.start(2)
+        if code[open_idx] == "(":
+            end = matching_paren_span(code, open_idx)
+        else:
+            end = code.find("}", open_idx) + 1
+        if not code[end:].lstrip().startswith(";"):
+            continue  # declaration with a body, member init list, etc.
+        if DECLARATOR_RE.search(code[open_idx + 1:end - 1]):
+            continue  # constructor declaration
+        report(path, line_of(code, m.start(1)), "unnamed-raii",
+               f"{m.group(1)} constructed as an unnamed temporary; it is "
+               "destroyed at the ';' and guards nothing — bind it to a "
+               "named local")
 
 
 def check_simd_containment(path, raw, code):
@@ -371,6 +432,8 @@ def main():
             check_arena_containment(path, raw, code)
             check_precision_containment(path, raw, code)
             check_simd_containment(path, raw, code)
+            check_raw_getenv(path, raw, code)
+            check_unnamed_raii(path, raw, code)
             check_op_entry_guard(path, raw, code, op_names)
         if "format" in families:
             check_format(path, raw)

@@ -23,8 +23,7 @@
 // context (bytes_per_op — estimated operand bytes moved per op — is
 // emitted only when nonzero, so pre-existing reports parse unchanged).
 // Adopted by bench_kernels (--focus-bench-json=<path> / FOCUS_BENCH_JSON)
-// and bench_fig6_efficiency (--bench-json=<path>); the pre-schema files in
-// results/ were backfilled by scripts/bench_schema_backfill.py.
+// and bench_fig6_efficiency (--bench-json=<path>).
 #ifndef FOCUS_OBS_BENCH_REPORT_H_
 #define FOCUS_OBS_BENCH_REPORT_H_
 

@@ -26,24 +26,19 @@ namespace plan {
 
 namespace {
 
-// 64-byte slab alignment (one cache line, two AVX2 lanes). The packer
-// works in BYTES so mixed element sizes (f32 temps, bf16-packed temps)
-// share one slab with exact lifetimes.
-constexpr int64_t kAlignBytes = 64;
+// 64-byte slab alignment, in floats (one cache line, two AVX2 lanes).
+constexpr int64_t kAlignFloats = 16;
 
-int64_t AlignUpBytes(int64_t bytes) {
-  return (bytes + kAlignBytes - 1) / kAlignBytes * kAlignBytes;
+int64_t AlignUp(int64_t numel) {
+  return (numel + kAlignFloats - 1) / kAlignFloats * kAlignFloats;
 }
 
 struct Value {
   enum Kind { kInput, kConstant, kTemp, kScratch };
   Kind kind = kTemp;
-  int64_t numel = 0;       // logical element count
-  int32_t elem_bytes = 4;  // storage bytes per element (4=f32, 2=bf16)
-  Tensor pinned;           // keeps constant buffers alive
-  int64_t offset = -1;     // slab offset (bytes) for temps/scratch
-
-  int64_t bytes() const { return numel * elem_bytes; }
+  int64_t numel = 0;
+  Tensor pinned;         // keeps constant buffers alive
+  int64_t offset = -1;   // slab offset (floats) for temps/scratch
 };
 
 struct Step {
@@ -82,8 +77,7 @@ class Recorder : public plan_hooks::CaptureSink {
     }
     Value out;
     out.kind = Value::kTemp;
-    out.numel = rec.out_numel >= 0 ? rec.out_numel : rec.output.numel();
-    out.elem_bytes = rec.out_elem_bytes;
+    out.numel = rec.output.numel();
     const int out_id = static_cast<int>(values_.size());
     values_.push_back(std::move(out));
     map_[rec.output.data()] = out_id;  // overwrite: recycling-safe
@@ -244,7 +238,7 @@ bool BuildFusedStep(const Step& prod, const Step& cons, int64_t out_numel,
   return false;
 }
 
-// First-fit free-list over slab extents (offsets/sizes in bytes).
+// First-fit free-list over slab extents (offsets/sizes in floats).
 class SlabPacker {
  public:
   int64_t Alloc(int64_t size) {
@@ -350,11 +344,7 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::Capture(
         continue;
       }
       Value& out = values[static_cast<size_t>(step.output)];
-      // Byte-capacity buffer: bf16-packed outputs occupy 2 bytes per
-      // logical element inside a float-typed pinned tensor.
-      out.pinned = Tensor::Empty(
-          {(out.bytes() + static_cast<int64_t>(sizeof(float)) - 1) /
-           static_cast<int64_t>(sizeof(float))});
+      out.pinned = Tensor::Empty({out.numel});
       std::vector<Tensor> scratch_bufs;
       std::vector<float*> bufs;
       for (int in : step.inputs) {
@@ -428,13 +418,13 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::Capture(
         continue;
       }
       if (static_cast<int>(v) == out_id) continue;  // persistent
-      val.offset = packer.Alloc(AlignUpBytes(val.bytes()));
+      val.offset = packer.Alloc(AlignUp(val.numel));
     }
     for (size_t v = 0; v < nvalues; ++v) {
       if (last[v] != i || def[v] < 0) continue;
       const Value& val = values[v];
       if (val.offset < 0) continue;
-      packer.Free(val.offset, AlignUpBytes(val.bytes()));
+      packer.Free(val.offset, AlignUp(val.numel));
     }
   }
 
@@ -442,18 +432,14 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::Capture(
   // patched per Run(). Allocate the slab and output buffer LAST so the
   // steady-state invariant (zero allocator calls in Run) is the only
   // allocator traffic compile leaves behind.
-  // packer.total() is 64-byte aligned, so the float conversion is exact.
-  plan->slab_ = SlabLease(packer.total() /
-                          static_cast<int64_t>(sizeof(float)));
+  plan->slab_ = SlabLease(packer.total());
   plan->output_ = Tensor::Empty(result.shape());
-  plan->stats_.slab_bytes = packer.total();
+  plan->stats_.slab_bytes =
+      packer.total() * static_cast<int64_t>(sizeof(float));
   float* slab = plan->slab_.data();
 
   auto resolve = [&](int id, std::string* desc) -> float* {
     const Value& v = values[static_cast<size_t>(id)];
-    // Non-f32 operands carry their storage dtype in the listing; the
-    // lifetime checker in plan_test sizes extents from it.
-    const std::string dtype = v.elem_bytes == 2 ? ":bf16" : "";
     if (id == out_id) {
       *desc = "out";
       return plan->output_.data();
@@ -463,15 +449,17 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::Capture(
         *desc = "arg";
         return nullptr;  // patched per Run
       case Value::kConstant:
-        *desc = "const[" + std::to_string(v.numel) + dtype + "]";
+        *desc = "const[" + std::to_string(v.numel) + "]";
         return const_cast<float*>(v.pinned.data());
       case Value::kTemp:
       case Value::kScratch:
-        // "slab+<byte offset>[<numel>(:bf16)]" — tests parse this to
-        // check that operand ranges within a step never overlap.
-        *desc = "slab+" + std::to_string(v.offset) + "[" +
-                std::to_string(v.numel) + dtype + "]";
-        return slab + v.offset / static_cast<int64_t>(sizeof(float));
+        // "slab+<byte offset>[<numel>]" — tests parse this to check
+        // that operand ranges within a step never overlap.
+        *desc = "slab+" +
+                std::to_string(v.offset *
+                               static_cast<int64_t>(sizeof(float))) +
+                "[" + std::to_string(v.numel) + "]";
+        return slab + v.offset;
     }
     return nullptr;
   };
@@ -488,7 +476,8 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::Capture(
       std::string desc;
       float* p = resolve(ids[a], &desc);
       plan->stats_.bytes_per_run +=
-          values[static_cast<size_t>(ids[a])].bytes();
+          values[static_cast<size_t>(ids[a])].numel *
+          static_cast<int64_t>(sizeof(float));
       if (values[static_cast<size_t>(ids[a])].kind == Value::kInput) {
         plan->input_patches_.emplace_back(i, static_cast<int>(a));
       }

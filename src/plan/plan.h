@@ -77,9 +77,8 @@ struct PlanStats {
   int64_t slab_bytes = 0;      // static slab size (64-byte aligned)
   int64_t flops_per_run = 0;   // FLOPs charged per Run()
   // Estimated operand traffic per Run(): sum over compiled steps of
-  // every operand's numel * elem_bytes (reads + the written output).
-  // Bandwidth accounting for the perf gate — bf16 plans show the
-  // bytes-moved reduction here even when latency is noisy.
+  // every operand's numel * 4 bytes (reads + the written output).
+  // Bandwidth accounting for the perf gate.
   int64_t bytes_per_run = 0;
 };
 
@@ -99,8 +98,8 @@ class ExecutionPlan {
   // True when `input` can be fed to Run(): same shape as the capture
   // example, the SIMD backend is still the one the plan was compiled
   // against (closures hold resolved kernel pointers), and the calling
-  // thread's PrecisionMode equals the capture-time mode (a bf16 plan
-  // must not serve an f32 request and vice versa).
+  // thread's PrecisionMode equals the capture-time mode (the ProtoAttn
+  // assignment closure differs between f32 and int8proto plans).
   bool Matches(const Tensor& input) const;
 
   // Replays the program against `input`. Requires Matches(input).

@@ -71,7 +71,6 @@ ForecastEngine::ForecastEngine(ForecastModel* model, int64_t num_entities,
                                  10 * 1000 * 1000)),
       max_batch_(std::max(opts.max_batch, 1)),
       use_plans_(opts.use_plans),
-      pad_to_prewarmed_(opts.pad_to_prewarmed),
       precision_(opts.precision),
       queue_(opts.queue_capacity) {
   FOCUS_CHECK(model_ != nullptr);
@@ -95,8 +94,8 @@ ForecastEngine::ForecastEngine(ForecastModel* model, int64_t num_entities,
   workers_.resize(static_cast<size_t>(threads_));
   {
     // Prewarm at the engine's serving precision: captured plans embed
-    // the precision-resolved kernel sequence (and pre-packed bf16
-    // weights), and Plan::Matches() pins the mode at replay.
+    // the precision-resolved ProtoAttn assignment, and Plan::Matches()
+    // pins the mode at replay.
     PrecisionGuard precision(precision_);
     for (Worker& worker : workers_) {
       worker.forecaster = std::make_unique<core::PlannedForecaster>(model_);
@@ -218,8 +217,7 @@ void ForecastEngine::WorkerLoop(int worker_index) {
 void ForecastEngine::ProcessBatch(Worker& worker, Request* requests,
                                   int count) {
   const int64_t window_floats = num_entities_ * lookback_;
-  const int64_t rows =
-      pad_to_prewarmed_ ? PaddedRows(count) : static_cast<int64_t>(count);
+  const int64_t rows = PaddedRows(count);
 
   Tensor output;
   bool planned = false;

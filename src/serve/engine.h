@@ -78,12 +78,11 @@ struct ServeOptions {
   // Serve through prewarmed execution plans; false = always eager (the
   // serialized baseline bench_serve compares against).
   bool use_plans = true;
-  // Snap batch sizes up the prewarm ladder by replicating the last
-  // request's window (padded rows are computed and discarded). Keeps the
-  // plan cache ladder-sized and every steady-state shape prewarmed.
-  bool pad_to_prewarmed = true;
   // Ladder of batch sizes prewarmed at construction. Empty = powers of
-  // two up to and including max_batch.
+  // two up to and including max_batch. Every admitted batch snaps up
+  // this ladder by replicating the last request's window (padded rows
+  // are computed and discarded), so every steady-state shape is
+  // prewarmed.
   std::vector<int64_t> prewarm_batch_sizes;
   // Construct without serving threads; callers enqueue with Submit and
   // then Start(). Tests use this to pin batch compositions exactly.
@@ -198,7 +197,6 @@ class ForecastEngine {
   int64_t batch_window_us_;
   int max_batch_;
   bool use_plans_;
-  bool pad_to_prewarmed_;
   Precision precision_;
   std::vector<int64_t> ladder_;
 

@@ -9,7 +9,6 @@
 // backend, so results are bit-identical for any FOCUS_NUM_THREADS and
 // FOCUS_SIMD setting.
 #include <algorithm>
-#include <cstdint>
 #include <cstring>
 
 #include "parallel/thread_pool.h"
@@ -18,7 +17,6 @@
 #include "tensor/ops.h"
 #include "tensor/ops_common.h"
 #include "tensor/plan_hooks.h"
-#include "tensor/precision.h"
 #include "tensor/profile_hooks.h"
 #include "tensor/simd/vec.h"
 
@@ -63,101 +61,6 @@ struct MatMulDims {
   int64_t batch, batch_a, batch_b, m, k, n;
 };
 
-// MatMulKernel with a bf16-packed B panel: identical task grid and
-// per-element f32 FMA chains; only the B loads change (exact bf16->f32
-// unpack). A stays f32 — see MatMulBf16 for why the narrowing is
-// one-sided.
-void MatMulBf16Kernel(const float* a, const uint16_t* b, float* c,
-                      int64_t batch, int64_t batch_a, int64_t batch_b,
-                      int64_t m, int64_t k, int64_t n) {
-  const int64_t row_blocks = (m + kBlockM - 1) / kBlockM;
-  const auto row_block = simd::Kernels().matmul_row_block_bf16;
-  ParallelFor(0, batch * row_blocks, 1, [&](int64_t t0, int64_t t1) {
-    for (int64_t task = t0; task < t1; ++task) {
-      const int64_t t = task / row_blocks;
-      const int64_t block = task % row_blocks;
-      const float* at = a + (batch_a == 1 ? 0 : t) * m * k;
-      const uint16_t* bt = b + (batch_b == 1 ? 0 : t) * k * n;
-      float* ct = c + t * m * n;
-      const int64_t i0 = block * kBlockM;
-      const int64_t i1 = std::min(m, i0 + kBlockM);
-      row_block(at, bt, ct, i0, i1, k, n);
-    }
-  });
-}
-
-// Rounds `t` into a bf16 payload held in a float-typed byte-capacity
-// tensor ((2*numel+3)/4 floats). Under capture the pack is recorded as
-// its own step with elem_bytes=2, so the plan compiler gives the packed
-// value a byte-sized slab lifetime — and constant-folds the pack away
-// entirely when `t` is a parameter (weights pre-pack at compile time).
-Tensor PackBf16(const Tensor& t) {
-  const int64_t n = t.numel();
-  Tensor packed = Tensor::Empty({(n + 1) / 2});
-  const auto pack = simd::Kernels().pack_bf16;
-  {
-    FOCUS_KERNEL_SCOPE("kernel/pack_bf16");
-    uint16_t* out = reinterpret_cast<uint16_t*>(packed.data());
-    ParallelFor(0, n, plan_hooks::kElemGrain,
-                [&](int64_t i0, int64_t i1) {
-                  pack(t.data() + i0, out + i0, i1 - i0);
-                });
-  }
-  if (plan_hooks::CaptureActive()) {
-    plan_hooks::StepRecord rec;
-    rec.name = "PackBf16";
-    rec.inputs = {t};
-    rec.output = packed;
-    rec.out_elem_bytes = 2;
-    rec.out_numel = n;
-    rec.fn = [n](float* const* bufs) {
-      const auto k = simd::Kernels().pack_bf16;
-      uint16_t* out = reinterpret_cast<uint16_t*>(bufs[1]);
-      ParallelFor(0, n, plan_hooks::kElemGrain,
-                  [&](int64_t i0, int64_t i1) {
-                    k(bufs[0] + i0, out + i0, i1 - i0);
-                  });
-    };
-    plan_hooks::RecordStep(std::move(rec));
-  }
-  return packed;
-}
-
-// bf16 storage path for parameter operands: the stationary B panel (a
-// weight — requires_grad marks parameters even on a frozen model)
-// rounds to bf16 once, the moving activation A stays f32, and every
-// product accumulates in f32 (tensor/bf16.h contract). One-sided on
-// purpose: packing an activation costs a full f32 read + bf16 write
-// per run before the matmul reads it back, which moves MORE bytes than
-// the f32 kernel — whereas a weight pack is constant-folded at plan
-// compile time, so replays read half the weight bytes for free.
-// Inference-only — the caller guarantees grad mode is off, so no
-// backward is wired.
-Tensor MatMulBf16(const Tensor& a, const Tensor& b, const MatMulDims& d,
-                  const Shape& out_shape) {
-  Tensor b16 = PackBf16(b);
-  Tensor out = Tensor::Empty(out_shape);
-  {
-    FOCUS_KERNEL_SCOPE("kernel/matmul_bf16");
-    MatMulBf16Kernel(a.data(),
-                     reinterpret_cast<const uint16_t*>(b16.data()),
-                     out.data(), d.batch, d.batch_a, d.batch_b, d.m, d.k,
-                     d.n);
-    FlopCounter::Add(2 * d.batch * d.m * d.n * d.k);
-  }
-  if (plan_hooks::CaptureActive()) {
-    plan_hooks::Record(plan_hooks::StepKind::kOpaque, "MatMulBf16",
-                       {a, b16}, out, [d](float* const* bufs) {
-                         MatMulBf16Kernel(
-                             bufs[0],
-                             reinterpret_cast<const uint16_t*>(bufs[1]),
-                             bufs[2], d.batch, d.batch_a, d.batch_b, d.m,
-                             d.k, d.n);
-                       });
-  }
-  return autograd::MakeResult(out, "MatMulBf16", {a, b}, nullptr);
-}
-
 MatMulDims ResolveDims(const Tensor& a, const Tensor& b) {
   FOCUS_CHECK(a.dim() == 2 || a.dim() == 3)
       << "MatMul lhs rank must be 2 or 3, got " << ShapeToString(a.shape());
@@ -186,15 +89,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   const MatMulDims d = ResolveDims(a, b);
   const bool batched_out = (a.dim() == 3 || b.dim() == 3);
   Shape out_shape = batched_out ? Shape{d.batch, d.m, d.n} : Shape{d.m, d.n};
-  // Mixed-precision storage path: inference only (training always
-  // accumulates AND stores f32), and only when B is a parameter —
-  // activations stay f32 (see MatMulBf16). Eager and planned execution
-  // route through the identical pack + bf16-matmul kernels, so the
-  // planned replay stays bit-identical to the eager bf16 forward.
-  if (!GradMode::IsEnabled() &&
-      PrecisionMode::Get() != Precision::kF32 && b.requires_grad()) {
-    return MatMulBf16(a, b, d, out_shape);
-  }
   Tensor out = Tensor::Empty(out_shape);
   {
     FOCUS_KERNEL_SCOPE("kernel/matmul");

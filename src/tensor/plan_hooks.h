@@ -66,14 +66,6 @@ struct StepRecord {
   StepFn fn;
   float scalar = 0.0f;           // kAddScalar / kMulScalar operand
   int64_t rows = 0, inner = 0;   // kSoftmaxRows geometry
-  // Storage element size of the output buffer. f32 steps leave the
-  // default; bf16-producing steps (PackBf16) set 2 and give the
-  // logical element count in out_numel (the backing Tensor is a
-  // byte-capacity float buffer whose numel is NOT the element count).
-  // The plan slab solver sizes this value's lifetime in bytes from
-  // out_numel * out_elem_bytes.
-  int32_t out_elem_bytes = 4;
-  int64_t out_numel = -1;  // -1: use output.numel()
 };
 
 class CaptureSink {

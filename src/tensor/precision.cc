@@ -11,10 +11,9 @@ namespace {
 Precision ParsePrecisionEnv() {
   const std::string raw = GetEnvOr("FOCUS_PRECISION", "f32");
   if (raw == "f32") return Precision::kF32;
-  if (raw == "bf16") return Precision::kBf16;
   if (raw == "int8proto") return Precision::kInt8Proto;
   std::fprintf(stderr,
-               "focus: FOCUS_PRECISION='%s' not in {f32,bf16,int8proto}; "
+               "focus: FOCUS_PRECISION='%s' not in {f32,int8proto}; "
                "using f32\n",
                raw.c_str());
   return Precision::kF32;
@@ -28,8 +27,6 @@ const char* PrecisionName(Precision p) {
   switch (p) {
     case Precision::kF32:
       return "f32";
-    case Precision::kBf16:
-      return "bf16";
     case Precision::kInt8Proto:
       return "int8proto";
   }

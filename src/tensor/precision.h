@@ -1,23 +1,25 @@
-// Inference precision mode: selects the storage/compute precision used by
-// inference-time ops (matmul, ProtoAttn assignment). Modeled on GradMode
-// (tensor.h): a thread-local flag read at op entry on the launching
-// thread, so concurrent serving tenants can run different precisions.
+// Inference precision mode: selects how ProtoAttn assigns tokens to
+// prototypes at inference time. Modeled on GradMode (tensor.h): a
+// thread-local flag read at op entry on the launching thread, so
+// concurrent serving tenants can run different precisions.
 //
 //   kF32       default; bit-identical to the historical float32 path.
-//   kBf16      weights/activations stored as bf16 (bf16.h), f32 accumulate.
-//   kInt8Proto additionally quantizes the frozen prototype bank to int8
-//              with int32 accumulation in ProtoAttn token assignment.
+//   kInt8Proto ProtoAttn's nearest-prototype assignment scores tokens
+//              against an int8-quantized copy of the frozen prototype
+//              bank with int32 accumulation. Every matmul, and the
+//              prototype rows the assignment selects, stay f32: the
+//              mode changes only WHICH prototype a token is assigned.
 //
 // The process-wide default is parsed once from FOCUS_PRECISION
-// ({f32,bf16,int8proto}; unset or unrecognized -> f32 with a warning) and
+// ({f32,int8proto}; unset or unrecognized -> f32 with a warning) and
 // seeds each thread's initial mode. Training ignores the mode entirely:
-// the low-precision paths only engage when gradients are off.
+// the int8 assignment only engages when gradients are off.
 #ifndef FOCUS_TENSOR_PRECISION_H_
 #define FOCUS_TENSOR_PRECISION_H_
 
 namespace focus {
 
-enum class Precision { kF32, kBf16, kInt8Proto };
+enum class Precision { kF32, kInt8Proto };
 
 const char* PrecisionName(Precision p);
 

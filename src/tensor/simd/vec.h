@@ -123,24 +123,6 @@ struct KernelTable {
   void (*mul_scalar_softmax_rows)(const float* x, float s, float* y,
                                   int64_t rows, int64_t n);
 
-  // bf16 storage kernels (mixed-precision inference, DESIGN §13).
-  // Packed buffers are raw bf16 payloads (uint16_t). pack is
-  // round-to-nearest-even with NaN quieting (tensor/bf16.h) — pure
-  // integer bit math, so packed bytes are bit-identical across
-  // backends. unpack is exact. add_bf16 unpacks both operands, adds in
-  // f32, repacks with the same rounding. matmul_row_block_bf16 takes a
-  // f32 A panel and a bf16-packed B panel (the stationary/weight side),
-  // unpacks B to f32 lanes and accumulates in f32 with the identical
-  // 4x8 FMA-chain structure as matmul_row_block (storage-only precision
-  // loss; the accumulator never narrows).
-  void (*pack_bf16)(const float* x, uint16_t* o, int64_t n);
-  void (*unpack_bf16)(const uint16_t* x, float* o, int64_t n);
-  void (*add_bf16)(const uint16_t* a, const uint16_t* b, uint16_t* o,
-                   int64_t n);
-  void (*matmul_row_block_bf16)(const float* at, const uint16_t* bt,
-                                float* ct, int64_t i0, int64_t i1,
-                                int64_t k, int64_t n);
-
   // Exact int32 dot product of two int8 vectors (ProtoAttn int8
   // token-assignment path). Integer math — backend-invariant by
   // construction.

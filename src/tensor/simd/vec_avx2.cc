@@ -8,7 +8,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "tensor/bf16.h"
 #include "tensor/simd/vec.h"
 #include "tensor/simd/vec_common.h"
 
@@ -91,42 +90,6 @@ inline float ReduceMax(V8 a) {
   const __m128 z = _mm_max_ps(y, _mm_movehl_ps(y, y));
   const __m128 w = _mm_max_ss(z, _mm_shuffle_ps(z, z, 0x1));
   return _mm_cvtss_f32(w);
-}
-
-// bf16 lane conversions. Unpack widens 8 bf16 payloads to the high
-// halves of 8 f32 lanes (exact). Pack evaluates the integer RNE
-// sequence of Bf16FromF32 (tensor/bf16.h) on all 8 lanes — including
-// the quiet-NaN special case — so the stored bytes match the scalar
-// backend bit-for-bit.
-inline V8 LoadBf16(const uint16_t* p) {
-  const __m128i h =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  const __m256i w = _mm256_cvtepu16_epi32(h);
-  return {_mm256_castsi256_ps(_mm256_slli_epi32(w, 16))};
-}
-inline void StoreBf16(uint16_t* p, V8 a) {
-  const __m256i bits = _mm256_castps_si256(a.r);
-  const __m256i lsb = _mm256_and_si256(_mm256_srli_epi32(bits, 16),
-                                       _mm256_set1_epi32(1));
-  const __m256i rounded = _mm256_add_epi32(
-      _mm256_add_epi32(bits, _mm256_set1_epi32(0x7FFF)), lsb);
-  const __m256i r16 = _mm256_srli_epi32(rounded, 16);
-  // NaN iff (bits & 0x7FFFFFFF) > 0x7F800000; both sides are positive
-  // in int32, so the signed compare is exact.
-  const __m256i absb =
-      _mm256_and_si256(bits, _mm256_set1_epi32(0x7FFFFFFF));
-  const __m256i nan_mask =
-      _mm256_cmpgt_epi32(absb, _mm256_set1_epi32(0x7F800000));
-  const __m256i n16 = _mm256_or_si256(_mm256_srli_epi32(bits, 16),
-                                      _mm256_set1_epi32(0x0040));
-  const __m256i sel = _mm256_blendv_epi8(r16, n16, nan_mask);
-  // Each 32-bit lane now holds a value in [0, 0xFFFF]; packus
-  // saturation is the identity. packus interleaves the 128-bit
-  // halves, so permute the 64-bit quarters back into lane order.
-  const __m256i packed = _mm256_packus_epi32(sel, sel);
-  const __m256i ordered = _mm256_permute4x64_epi64(packed, 0xD8);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(p),
-                   _mm256_castsi256_si128(ordered));
 }
 
 }  // namespace avx2_backend

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <cstring>
 
-#include "tensor/bf16.h"
 #include "tensor/simd/vec.h"
 #include "tensor/simd/vec_common.h"
 
@@ -140,18 +139,6 @@ inline float ReduceMax(V8 a) {
   const float y2 = mx(a.v[2], a.v[6]);
   const float y3 = mx(a.v[3], a.v[7]);
   return mx(mx(y0, y2), mx(y1, y3));
-}
-
-// bf16 lane conversions: per-lane application of the shared integer
-// pack/unpack (tensor/bf16.h), which the AVX2 backend evaluates with
-// the identical bit sequence — packed bytes are bit-identical.
-inline V8 LoadBf16(const uint16_t* p) {
-  V8 r;
-  for (int i = 0; i < kLanes; ++i) r.v[i] = F32FromBf16(p[i]);
-  return r;
-}
-inline void StoreBf16(uint16_t* p, V8 a) {
-  for (int i = 0; i < kLanes; ++i) p[i] = Bf16FromF32(a.v[i]);
 }
 
 }  // namespace scalar_backend

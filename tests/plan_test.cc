@@ -163,19 +163,9 @@ bool ParseSlabOperand(std::string tok, bool* is_def, bool* is_scratch,
   EXPECT_NE(lb, std::string::npos) << tok;
   EXPECT_NE(rb, std::string::npos) << tok;
   const int64_t bytes = std::strtoll(tok.c_str() + 5, nullptr, 10);
-  // Bracket payload is "<numel>" (f32) or "<numel>:bf16" (2-byte
-  // packed values from the mixed-precision path).
-  std::string payload = tok.substr(lb + 1, rb - lb - 1);
-  int64_t elem_bytes = static_cast<int64_t>(sizeof(float));
-  const size_t colon = payload.find(':');
-  if (colon != std::string::npos) {
-    EXPECT_EQ(payload.substr(colon + 1), "bf16") << tok;
-    elem_bytes = 2;
-    payload = payload.substr(0, colon);
-  }
-  const int64_t numel = std::strtoll(payload.c_str(), nullptr, 10);
+  const int64_t numel = std::strtoll(tok.c_str() + lb + 1, nullptr, 10);
   r->begin = bytes;
-  r->end = bytes + numel * elem_bytes;
+  r->end = bytes + numel * static_cast<int64_t>(sizeof(float));
   return true;
 }
 

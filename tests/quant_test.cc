@@ -1,14 +1,13 @@
-// Mixed-precision inference contracts (DESIGN §13):
-//   * routing — the bf16 matmul path engages only for parameter (B)
-//     operands with grad mode off and a non-f32 ambient precision; the
-//     default f32 path stays byte-identical to the plain kernel.
-//   * eager/planned bit-identity per precision mode — a plan captured
-//     under bf16/int8proto replays the exact eager kernels, and
-//     ExecutionPlan::Matches() pins the precision the plan was captured
-//     at, so a mode switch recaptures instead of replaying wrong math.
+// int8proto inference contracts (DESIGN §13):
 //   * int8 prototype bank — freeze-time quantization statistics agree
 //     with a brute-force dequantized reference; assignments are
 //     backend-invariant and agree with f32 on separated prototypes.
+//   * assignment only — int8proto changes which prototype a token is
+//     assigned and nothing else: when every assignment agrees with f32,
+//     the eager and planned forecasts are the f32 forecast, bit for bit.
+//   * plan pinning — ExecutionPlan::Matches() pins the precision a plan
+//     was captured at, so a mode switch recaptures instead of replaying
+//     the other mode's assignment sweep.
 //   * serving — per-tenant engines serve bit-identically to the eager
 //     forward at their own precision.
 #include <cmath>
@@ -24,7 +23,6 @@
 #include "core/proto_attn.h"
 #include "plan/plan.h"
 #include "serve/engine.h"
-#include "tensor/bf16.h"
 #include "tensor/ops.h"
 #include "tensor/precision.h"
 #include "tensor/simd/vec.h"
@@ -48,147 +46,16 @@ TEST(PrecisionModeTest, GuardRestoresAndNamesRoundTrip) {
   // sweeps it), so assert restoration, not a specific starting mode.
   const Precision ambient = PrecisionMode::Get();
   {
-    PrecisionGuard guard(Precision::kBf16);
-    EXPECT_EQ(PrecisionMode::Get(), Precision::kBf16);
-    EXPECT_STREQ("bf16", PrecisionName(PrecisionMode::Get()));
+    PrecisionGuard guard(Precision::kF32);
+    EXPECT_EQ(PrecisionMode::Get(), Precision::kF32);
     {
       PrecisionGuard inner(Precision::kInt8Proto);
       EXPECT_STREQ("int8proto", PrecisionName(PrecisionMode::Get()));
     }
-    EXPECT_EQ(PrecisionMode::Get(), Precision::kBf16);
+    EXPECT_EQ(PrecisionMode::Get(), Precision::kF32);
   }
   EXPECT_EQ(PrecisionMode::Get(), ambient);
   EXPECT_STREQ("f32", PrecisionName(Precision::kF32));
-}
-
-TEST(Bf16MatMulTest, RoutesOnlyForParameterOperands) {
-  Rng rng(3);
-  Tensor a = Tensor::Randn({9, 33}, rng);
-  Tensor w = Tensor::Randn({33, 17}, rng);
-  NoGradGuard no_grad;
-  PrecisionGuard ambient_f32(Precision::kF32);
-  const Tensor f32_out = MatMul(a, w);
-
-  // Non-parameter B: bf16 mode must leave the op on the f32 kernel.
-  {
-    PrecisionGuard guard(Precision::kBf16);
-    ExpectSameBytes(MatMul(a, w), f32_out, "activation @ activation");
-  }
-
-  // Parameter B: the bf16 route rounds the weights, so some output
-  // bits must change — and equal the explicit unpack-then-f32-matmul.
-  w.SetRequiresGrad(true);
-  Tensor bf16_out;
-  {
-    PrecisionGuard guard(Precision::kBf16);
-    bf16_out = MatMul(a, w);
-  }
-  EXPECT_NE(0, std::memcmp(bf16_out.data(), f32_out.data(),
-                           static_cast<size_t>(f32_out.numel()) *
-                               sizeof(float)))
-      << "bf16 weight rounding changed no bits — route not taken?";
-  Tensor w_rounded = Tensor::Empty(w.shape());
-  for (int64_t i = 0; i < w.numel(); ++i) {
-    w_rounded.data()[i] = F32FromBf16(Bf16FromF32(w.data()[i]));
-  }
-  ExpectSameBytes(bf16_out, MatMul(a, w_rounded),
-                  "bf16 matmul vs f32 matmul of rounded weights");
-
-  // int8proto is a superset of bf16: matmuls take the same bf16 path.
-  {
-    PrecisionGuard guard(Precision::kInt8Proto);
-    ExpectSameBytes(MatMul(a, w), bf16_out, "int8proto matmul vs bf16");
-  }
-}
-
-// A small parameterized function with one foldable weight matmul.
-struct SmallNet {
-  Tensor w1, w2, bias;
-  explicit SmallNet(uint64_t seed) {
-    Rng rng(seed);
-    w1 = Tensor::Randn({24, 16}, rng);
-    w2 = Tensor::Randn({16, 8}, rng);
-    bias = Tensor::Randn({8}, rng);
-    w1.SetRequiresGrad(true);
-    w2.SetRequiresGrad(true);
-    bias.SetRequiresGrad(true);
-  }
-  Tensor Forward(const Tensor& x) const {
-    return Add(MatMul(Gelu(MatMul(x, w1)), w2), bias);
-  }
-};
-
-TEST(Bf16PlanTest, EagerAndPlannedBitIdentical) {
-  SmallNet net(7);
-  Rng rng(8);
-  Tensor x = Tensor::Randn({5, 24}, rng);
-  PrecisionGuard guard(Precision::kBf16);
-  Tensor eager;
-  {
-    InferenceModeGuard inference;
-    eager = net.Forward(x);
-  }
-  auto plan = plan::ExecutionPlan::Capture(
-      [&](const Tensor& in) { return net.Forward(in); }, x);
-  ASSERT_NE(plan, nullptr);
-  ExpectSameBytes(plan->Run(x), eager, "planned bf16 vs eager bf16");
-  // With folding on, the weight packs fold into pinned bf16 constants:
-  // the replayed program must move fewer bytes than its f32 twin.
-  {
-    PrecisionGuard f32(Precision::kF32);
-    auto f32_plan = plan::ExecutionPlan::Capture(
-        [&](const Tensor& in) { return net.Forward(in); }, x);
-    ASSERT_NE(f32_plan, nullptr);
-    EXPECT_LT(plan->stats().bytes_per_run, f32_plan->stats().bytes_per_run)
-        << "bf16 weight folding did not reduce per-run operand traffic";
-  }
-}
-
-TEST(Bf16PlanTest, UnfoldedPackGetsByteSizedSlabValue) {
-  // Folding off keeps the PackBf16 step alive, so the packed weight
-  // must live in the slab as a 2-byte-element value (the ":bf16"
-  // layout suffix plan_test's overlap checker also parses).
-  SmallNet net(9);
-  Rng rng(10);
-  Tensor x = Tensor::Randn({3, 24}, rng);
-  PrecisionGuard guard(Precision::kBf16);
-  plan::Options opts;
-  opts.fold = false;
-  auto plan = plan::ExecutionPlan::Capture(
-      [&](const Tensor& in) { return net.Forward(in); }, x, opts);
-  ASSERT_NE(plan, nullptr);
-  EXPECT_NE(plan->DebugLayout().find(":bf16]"), std::string::npos)
-      << plan->DebugLayout();
-  Tensor eager;
-  {
-    InferenceModeGuard inference;
-    eager = net.Forward(x);
-  }
-  ExpectSameBytes(plan->Run(x), eager, "unfolded planned bf16 vs eager");
-}
-
-TEST(Bf16PlanTest, MatchesPinsCapturePrecision) {
-  SmallNet net(11);
-  Rng rng(12);
-  Tensor x = Tensor::Randn({4, 24}, rng);
-  std::unique_ptr<plan::ExecutionPlan> plan;
-  {
-    PrecisionGuard guard(Precision::kBf16);
-    plan = plan::ExecutionPlan::Capture(
-        [&](const Tensor& in) { return net.Forward(in); }, x);
-    ASSERT_NE(plan, nullptr);
-    EXPECT_TRUE(plan->Matches(x));
-  }
-  // Ambient precision back to f32: the bf16 plan must refuse to replay
-  // (PlannedForecaster then drops and recaptures).
-  {
-    PrecisionGuard guard(Precision::kF32);
-    EXPECT_FALSE(plan->Matches(x));
-  }
-  {
-    PrecisionGuard guard(Precision::kInt8Proto);
-    EXPECT_FALSE(plan->Matches(x));
-  }
 }
 
 // --- int8 prototype bank ----------------------------------------------------
@@ -318,20 +185,25 @@ constexpr int64_t kEntities = 3;
 constexpr int64_t kLookback = 32;
 constexpr int64_t kHorizon = 8;
 
-std::unique_ptr<core::FocusModel> ServableModel() {
+constexpr int64_t kPatchLen = 8;
+
+std::unique_ptr<core::FocusModel> ServableModel(const Tensor& protos) {
   core::FocusConfig cfg;
   cfg.lookback = kLookback;
   cfg.horizon = kHorizon;
   cfg.num_entities = kEntities;
-  cfg.patch_len = 8;
+  cfg.patch_len = kPatchLen;
   cfg.d_model = 16;
   cfg.readout_queries = 2;
   cfg.seed = 31;
-  Rng rng(37);
-  auto model = std::make_unique<core::FocusModel>(
-      cfg, Tensor::Randn({4, 8}, rng));
+  auto model = std::make_unique<core::FocusModel>(cfg, protos);
   model->SetTraining(false);
   return model;
+}
+
+std::unique_ptr<core::FocusModel> ServableModel() {
+  Rng rng(37);
+  return ServableModel(Tensor::Randn({4, kPatchLen}, rng));
 }
 
 Tensor EagerReference(core::FocusModel& model, const Tensor& window,
@@ -350,21 +222,14 @@ TEST(QuantServeTest, PerTenantPrecisionBitIdenticalToEager) {
   Rng rng(41);
   Tensor window = Tensor::Randn({kEntities, kLookback}, rng);
   const Tensor f32_ref = EagerReference(*model, window, Precision::kF32);
-  const Tensor bf16_ref = EagerReference(*model, window, Precision::kBf16);
   const Tensor int8_ref =
       EagerReference(*model, window, Precision::kInt8Proto);
-  // bf16 must actually change the forecast bits on this model, else the
-  // three tenants below would be indistinguishable.
-  ASSERT_NE(0, std::memcmp(f32_ref.data(), bf16_ref.data(),
-                           static_cast<size_t>(f32_ref.numel()) *
-                               sizeof(float)));
   const struct {
     Precision precision;
     const Tensor* ref;
     const char* what;
   } kTenants[] = {
       {Precision::kF32, &f32_ref, "f32 tenant"},
-      {Precision::kBf16, &bf16_ref, "bf16 tenant"},
       {Precision::kInt8Proto, &int8_ref, "int8proto tenant"},
   };
   for (const auto& tenant : kTenants) {
@@ -380,6 +245,93 @@ TEST(QuantServeTest, PerTenantPrecisionBitIdenticalToEager) {
     const serve::EngineStats stats = engine.stats();
     EXPECT_EQ(stats.planned_batches, 1) << tenant.what;
     engine.Shutdown();
+  }
+}
+
+// A window whose every patch is a noisy copy of one separated
+// prototype: each token's nearest prototype is clear-cut, so int8
+// requantization cannot flip any assignment.
+Tensor PrototypeWindow(const Tensor& protos, uint64_t seed) {
+  const int64_t k = protos.size(0);
+  Tensor window = Tensor::Zeros({kEntities, kLookback});
+  Rng rng(seed);
+  Tensor noise = Tensor::Randn({kEntities, kLookback}, rng);
+  for (int64_t e = 0; e < kEntities; ++e) {
+    for (int64_t t = 0; t < kLookback; ++t) {
+      const int64_t j = (e + t / kPatchLen) % k;
+      window.data()[e * kLookback + t] =
+          protos.data()[j * kPatchLen + t % kPatchLen] +
+          0.02f * noise.data()[e * kLookback + t];
+    }
+  }
+  return window;
+}
+
+TEST(Int8ProtoTest, ForwardMatchesF32WhenAssignmentsAgree) {
+  const Tensor protos = MakeSeparatedPrototypes(4, kPatchLen, 51);
+  auto model = ServableModel(protos);
+  const Tensor window = PrototypeWindow(protos, 52);
+  const Tensor x = window.Reshape({1, kEntities, kLookback});
+
+  // Premise: the model's two assignment sweeps agree on every token
+  // (z-normalization makes the sweep blind to the instance norm).
+  {
+    const core::ProtoAttn* attn = model->temporal_proto_attn();
+    ASSERT_NE(attn, nullptr);
+    const Tensor tokens =
+        window.Reshape({1, kEntities * kLookback / kPatchLen, kPatchLen});
+    InferenceModeGuard inference;
+    std::vector<int64_t> f32_assign;
+    {
+      PrecisionGuard f32(Precision::kF32);
+      f32_assign = attn->AssignTokens(tokens);
+    }
+    PrecisionGuard int8(Precision::kInt8Proto);
+    ASSERT_EQ(f32_assign, attn->AssignTokens(tokens));
+  }
+
+  // int8proto touches only the assignment, so every matmul runs on the
+  // f32 weights and the forecast is the f32 forecast, bit for bit.
+  const Tensor f32_ref = EagerReference(*model, window, Precision::kF32);
+  ExpectSameBytes(EagerReference(*model, window, Precision::kInt8Proto),
+                  f32_ref, "eager int8proto vs f32");
+  PrecisionGuard guard(Precision::kInt8Proto);
+  auto plan = plan::ExecutionPlan::Capture(
+      [&](const Tensor& in) { return model->Forward(in); }, x);
+  ASSERT_NE(plan, nullptr);
+  ExpectSameBytes(plan->Run(x).Reshape({kEntities, kHorizon}), f32_ref,
+                  "planned int8proto vs f32");
+}
+
+TEST(Int8ProtoTest, MatchesPinsCapturePrecision) {
+  auto model = ServableModel();
+  Rng rng(61);
+  const Tensor x = Tensor::Randn({1, kEntities, kLookback}, rng);
+  const auto capture = [&](Precision precision) {
+    PrecisionGuard guard(precision);
+    auto plan = plan::ExecutionPlan::Capture(
+        [&](const Tensor& in) { return model->Forward(in); }, x);
+    EXPECT_NE(plan, nullptr);
+    if (plan != nullptr) {
+      EXPECT_TRUE(plan->Matches(x));
+    }
+    return plan;
+  };
+  // Each plan refuses to replay under the other mode (PlannedForecaster
+  // then drops it and recaptures): the ProtoAssign closures differ.
+  const auto int8_plan = capture(Precision::kInt8Proto);
+  const auto f32_plan = capture(Precision::kF32);
+  ASSERT_NE(int8_plan, nullptr);
+  ASSERT_NE(f32_plan, nullptr);
+  {
+    PrecisionGuard guard(Precision::kF32);
+    EXPECT_FALSE(int8_plan->Matches(x));
+    EXPECT_TRUE(f32_plan->Matches(x));
+  }
+  {
+    PrecisionGuard guard(Precision::kInt8Proto);
+    EXPECT_FALSE(f32_plan->Matches(x));
+    EXPECT_TRUE(int8_plan->Matches(x));
   }
 }
 

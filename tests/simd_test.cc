@@ -21,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include "tensor/bf16.h"
 #include "tensor/ops.h"
 #include "tensor/simd/vec.h"
 #include "tensor/tensor.h"
@@ -295,140 +294,7 @@ TEST_F(SimdBitIdentityTest, PublicOpsForwardBackward) {
   }
 }
 
-// --- bf16 / int8 kernels ----------------------------------------------------
-
-uint32_t F32Bits(float f) {
-  uint32_t u;
-  std::memcpy(&u, &f, sizeof(u));
-  return u;
-}
-
-float F32FromBits(uint32_t u) {
-  float f;
-  std::memcpy(&f, &u, sizeof(f));
-  return f;
-}
-
-// Round-to-nearest-even at the bf16 boundary: a tie (discarded half
-// exactly 0x8000) keeps an even kept-mantissa and bumps an odd one.
-TEST(Bf16ConversionTest, RoundToNearestEvenTies) {
-  // 1.00390625: kept payload 0x3F80 (even) — tie rounds DOWN.
-  EXPECT_EQ(0x3F80, Bf16FromF32(F32FromBits(0x3F808000u)));
-  // Kept payload 0x3F81 (odd) — tie rounds UP to even 0x3F82.
-  EXPECT_EQ(0x3F82, Bf16FromF32(F32FromBits(0x3F818000u)));
-  // One ULP above the tie always rounds up regardless of parity.
-  EXPECT_EQ(0x3F81, Bf16FromF32(F32FromBits(0x3F808001u)));
-  // One ULP below the tie always rounds down.
-  EXPECT_EQ(0x3F80, Bf16FromF32(F32FromBits(0x3F807FFFu)));
-  // Sign is carried through the same integer path.
-  EXPECT_EQ(0xBF80, Bf16FromF32(F32FromBits(0xBF808000u)));
-  EXPECT_EQ(0xBF82, Bf16FromF32(F32FromBits(0xBF818000u)));
-}
-
-TEST(Bf16ConversionTest, SubnormalsNanInfPreserved) {
-  // f32 subnormals round like any other value (no flush-to-zero): the
-  // smallest ones vanish, ones past the bf16 subnormal tie survive.
-  EXPECT_EQ(0x0000, Bf16FromF32(F32FromBits(0x00000001u)));
-  EXPECT_EQ(0x0002, Bf16FromF32(F32FromBits(0x00018000u)));  // odd+tie: up
-  EXPECT_EQ(0x8000, Bf16FromF32(F32FromBits(0x80000001u)));  // -0 keeps sign
-  // Infinities pass through exactly; FLT_MAX overflows to inf under RNE.
-  EXPECT_EQ(0x7F80, Bf16FromF32(F32FromBits(0x7F800000u)));
-  EXPECT_EQ(0xFF80, Bf16FromF32(F32FromBits(0xFF800000u)));
-  EXPECT_EQ(0x7F80, Bf16FromF32(F32FromBits(0x7F7FFFFFu)));
-  // NaNs stay NaN (payload quieted, never rounded into infinity).
-  EXPECT_EQ(0x7FC0, Bf16FromF32(F32FromBits(0x7F800001u)));
-  EXPECT_EQ(0xFFC0, Bf16FromF32(F32FromBits(0xFF800001u)));
-  EXPECT_EQ(0x7FC0, Bf16FromF32(F32FromBits(0x7FC00001u)));
-  // Unpack is exact: bf16 payload << 16 reproduces the f32 bits.
-  EXPECT_EQ(0x3F800000u, F32Bits(F32FromBf16(0x3F80)));
-  EXPECT_EQ(0x7F800000u, F32Bits(F32FromBf16(0x7F80)));
-  EXPECT_TRUE(std::isnan(F32FromBf16(0x7FC0)));
-}
-
-// Test vector that deliberately mixes ties, subnormals, NaN and ±inf in
-// with ordinary values, so the vector lanes hit every rounding branch.
-std::vector<float> Bf16EdgeVec(int64_t n, uint32_t seed) {
-  std::vector<float> v = TestVec(n, seed);
-  const uint32_t specials[] = {0x3F808000u, 0x3F818000u, 0x00000001u,
-                               0x00018000u, 0x7F800000u, 0xFF800000u,
-                               0x7FC00001u, 0x7F7FFFFFu, 0x80000000u};
-  for (int64_t i = 0; i < n; i += 3) {
-    v[static_cast<size_t>(i)] =
-        F32FromBits(specials[static_cast<size_t>(i / 3) % 9]);
-  }
-  return v;
-}
-
-// pack/unpack/add bit-identity across backends at every tail length,
-// including the special values above. Packed uint16 payloads are
-// compared as raw bytes through the float-typed scratch buffer.
-TEST_F(SimdBitIdentityTest, Bf16PackUnpackAddKernels) {
-  for (int64_t n : kSizes) {
-    const auto x = Bf16EdgeVec(n, 14);
-    const auto y = Bf16EdgeVec(n, 15);
-    const std::string sz = " n=" + std::to_string(n);
-    const int64_t packed_floats = (n + 1) / 2;
-    ExpectBackendsMatch(
-        [&](const simd::KernelTable& kt, float* o) {
-          kt.pack_bf16(x.data(), reinterpret_cast<uint16_t*>(o), n);
-        },
-        packed_floats, "pack_bf16" + sz);
-    ExpectBackendsMatch(
-        [&](const simd::KernelTable& kt, float* o) {
-          std::vector<uint16_t> h(static_cast<size_t>(n));
-          kt.pack_bf16(x.data(), h.data(), n);
-          kt.unpack_bf16(h.data(), o, n);
-        },
-        n, "unpack_bf16" + sz);
-    ExpectBackendsMatch(
-        [&](const simd::KernelTable& kt, float* o) {
-          std::vector<uint16_t> a(static_cast<size_t>(n));
-          std::vector<uint16_t> b(static_cast<size_t>(n));
-          kt.pack_bf16(x.data(), a.data(), n);
-          kt.pack_bf16(y.data(), b.data(), n);
-          kt.add_bf16(a.data(), b.data(),
-                      reinterpret_cast<uint16_t*>(o), n);
-        },
-        packed_floats, "add_bf16" + sz);
-  }
-}
-
-// Pack-then-unpack equals the scalar helper composition for every lane
-// (the AVX2 StoreBf16 path must evaluate the identical integer RNE).
-TEST_F(SimdBitIdentityTest, Bf16RoundTripMatchesScalarHelpers) {
-  const int64_t n = 1037;
-  const auto x = Bf16EdgeVec(n, 16);
-  ASSERT_TRUE(simd::SetBackend(simd::Backend::kAvx2));
-  std::vector<uint16_t> h(static_cast<size_t>(n));
-  simd::Kernels().pack_bf16(x.data(), h.data(), n);
-  for (int64_t i = 0; i < n; ++i) {
-    EXPECT_EQ(Bf16FromF32(x[static_cast<size_t>(i)]),
-              h[static_cast<size_t>(i)])
-        << "lane " << i;
-  }
-}
-
-TEST_F(SimdBitIdentityTest, Bf16MatMulRowBlock) {
-  struct Dims {
-    int64_t m, k, n;
-  };
-  const Dims kDims[] = {{4, 16, 8}, {5, 13, 11}, {3, 7, 17},
-                        {1, 1, 1},  {6, 9, 3},   {9, 33, 24}};
-  for (const Dims& d : kDims) {
-    const auto a = TestVec(d.m * d.k, 17);
-    const auto b = TestVec(d.k * d.n, 18);
-    ExpectBackendsMatch(
-        [&](const simd::KernelTable& kt, float* o) {
-          std::vector<uint16_t> b16(static_cast<size_t>(d.k * d.n));
-          kt.pack_bf16(b.data(), b16.data(), d.k * d.n);
-          kt.matmul_row_block_bf16(a.data(), b16.data(), o, 0, d.m, d.k,
-                                   d.n);
-        },
-        d.m * d.n,
-        "matmul_row_block_bf16 m=" + std::to_string(d.m) +
-            " k=" + std::to_string(d.k) + " n=" + std::to_string(d.n));
-  }
-}
+// --- int8 kernels ---------------------------------------------------------
 
 TEST_F(SimdBitIdentityTest, DotI8ExactAcrossBackends) {
   for (int64_t n : kSizes) {
@@ -538,7 +404,7 @@ TEST(SimdAccuracyTest, ExtremeArguments) {
 TEST(SimdDispatchTest, EnvSelectsBackend) {
   // Save/restore must distinguish unset from empty, which the hardened
   // GetEnvOr helper deliberately hides behind its fallback.
-  // FOCUS-ANALYZE-OK(raw-getenv): env save/restore needs unset-vs-set
+  // NOLINT(focus-raw-getenv): env save/restore needs unset-vs-set
   const char* saved = std::getenv("FOCUS_SIMD");
   const std::string restore = saved != nullptr ? saved : "";
 
