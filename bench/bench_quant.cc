@@ -19,8 +19,7 @@
 //       plan's measured per-replay operand traffic (PlanStats
 //       bytes_per_run)
 //   BM_QuantServe/<precision>  closed-loop saturated forecasts/sec on a
-//       micro-batching engine serving at that precision (one engine per
-//       tenant tier)
+//       serving engine at that precision (one engine per tenant tier)
 //
 // --smoke: two datasets, capped train steps, short measure windows — the
 // ctest entry. Full runs record results/BENCH_quant.json via
@@ -170,8 +169,6 @@ void RunServe(bool smoke, obs::BenchReport& report) {
   for (Precision precision : kSweep) {
     serve::ServeOptions opts;
     opts.threads = 1;
-    opts.batch_window_us = 200;
-    opts.max_batch = 8;
     opts.precision = precision;
     serve::ForecastEngine engine(&model, entities, lookback, opts);
 

@@ -24,9 +24,8 @@
 #                  budget committed in bench/bench_quant.cc.
 #
 # An optional `perf` leg (not in the default matrix — it needs a quiet
-# machine) builds bench_kernels + bench_serve in Release, runs their
-# --smoke subsets with --focus-bench-json, and gates ns/op against the
-# committed baseline
+# machine) builds bench_kernels in Release, runs its --smoke subset
+# with --focus-bench-json, and gates ns/op against the committed baseline
 # results/BENCH_smoke_baseline.json via scripts/bench_diff.py. The
 # threshold is deliberately generous (50%) because CI containers share
 # cores; it catches order-of-magnitude regressions, not noise.
@@ -157,22 +156,14 @@ run_leg_perf() {
   local dir=build-perf
   note "configure $dir (Release, bench only)"
   cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-  note "build $dir (bench_kernels bench_serve)"
-  cmake --build "$dir" --target bench_kernels bench_serve -j "$JOBS"
+  note "build $dir (bench_kernels)"
+  cmake --build "$dir" --target bench_kernels -j "$JOBS"
   note "bench_kernels --smoke"
   "$dir/bench/bench_kernels" --smoke \
     --focus-bench-json="$dir/BENCH_smoke.json"
-  note "bench_serve --smoke"
-  "$dir/bench/bench_serve" --smoke \
-    --focus-bench-json="$dir/BENCH_serve_smoke.json"
-  # The shared baseline holds both binaries' entries; each comparison
-  # warns about (but does not gate on) the other binary's names.
-  note "bench_diff vs results/BENCH_smoke_baseline.json (kernels)"
+  note "bench_diff vs results/BENCH_smoke_baseline.json"
   python3 scripts/bench_diff.py results/BENCH_smoke_baseline.json \
     "$dir/BENCH_smoke.json" --threshold-pct=50
-  note "bench_diff vs results/BENCH_smoke_baseline.json (serve)"
-  python3 scripts/bench_diff.py results/BENCH_smoke_baseline.json \
-    "$dir/BENCH_serve_smoke.json" --threshold-pct=50
 }
 
 LEGS=("${@:-lint default simdoff precision asan tsan}")

@@ -49,13 +49,6 @@ repo rules — correctness contracts from the parallel-kernel layer:
                      tests/ and bench/ which exercise the kernel directly; a
                      second consumer would fork the requantization math. No
                      NOLINT escape.
-  arena-containment  ArenaLease (the serving scratch slab) is confined to
-                     src/serve/, its definition in tensor/allocator.{h,cc},
-                     and tests/. A lease's bump pointer has exactly one
-                     owner — the in-flight batch that checked it out; any
-                     other holder would be ad-hoc manual memory management
-                     outside the engine's checkout/return lifecycle. No
-                     NOLINT escape.
   raw-getenv         libc getenv / secure_getenv outside src/utils/. The
                      hardened helpers (GetEnvOr / GetEnvIntInRangeOr in
                      utils/env.h) own the warn-and-fallback contract for
@@ -244,22 +237,6 @@ def check_plan_containment(path, raw, code):
                "ExecutionPlan instead of holding slab memory directly")
 
 
-def check_arena_containment(path, raw, code):
-    # An ArenaLease's bump pointer belongs to exactly one in-flight batch;
-    # the serve engine owns the whole checkout/carve/return lifecycle.
-    # Any other holder would be hand-rolled memory management with no
-    # lifetime story, so leases are banned elsewhere (tests exercise the
-    # lease directly and are exempt); no NOLINT escape.
-    rel = str(path.relative_to(REPO_ROOT)).replace("\\", "/")
-    if (rel.startswith("src/serve/") or rel.startswith("tests/")
-            or rel in ("src/tensor/allocator.h", "src/tensor/allocator.cc")):
-        return
-    for m in re.finditer(r"\bArenaLease\b", code):
-        report(path, line_of(code, m.start()), "arena-containment",
-               "ArenaLease outside src/serve/; submit work to the serving "
-               "engine instead of carving arena scratch directly")
-
-
 def check_precision_containment(path, raw, code):
     # Float-width conversions round; int8 requantization rescales. Both
     # are deterministic only because exactly one implementation of each
@@ -429,7 +406,6 @@ def main():
             check_raw_float_new(path, raw, code)
             check_perf_containment(path, raw, code)
             check_plan_containment(path, raw, code)
-            check_arena_containment(path, raw, code)
             check_precision_containment(path, raw, code)
             check_simd_containment(path, raw, code)
             check_raw_getenv(path, raw, code)

@@ -11,10 +11,10 @@
 // the backend that failed: after a backend switch the capture is
 // re-attempted once instead of pinning the shape eager forever.
 //
-// Serving fronts (src/serve) call Prewarm() at startup so the first
-// request at each admitted batch size never pays capture+compile
-// latency inline; every prewarmed plan bumps the "plan/prewarm"
-// counter in obs::MetricsRegistry.
+// The serving engine (src/serve) calls Prewarm() at startup for the one
+// (1, N, L) shape it serves, so the first request never pays
+// capture+compile latency inline; every prewarmed plan bumps the
+// "plan/prewarm" counter in obs::MetricsRegistry.
 //
 // Contract inherited from ExecutionPlan: the model must be frozen (plans
 // pin parameter values at capture time) and the returned tensor of a
@@ -54,8 +54,9 @@ class PlannedForecaster {
   // the "plan/prewarm" metric).
   int Prewarm(const std::vector<Shape>& shapes);
 
-  // Batched-shape convenience for serving: prewarms `base_shape` with
-  // its leading (batch) dimension replaced by each of `batch_sizes`.
+  // Batch-size sweep convenience (the benchmark's per-batch replay
+  // probes): prewarms `base_shape` with its leading (batch) dimension
+  // replaced by each of `batch_sizes`.
   int PrewarmBatchSizes(const Shape& base_shape,
                         const std::vector<int64_t>& batch_sizes);
 

@@ -163,13 +163,9 @@ void PublishAllocatorMetrics() {
   registry.AddCounter("alloc/frees_released",
                       now.frees_released - last.frees_released);
   registry.AddCounter("alloc/trims", now.trims - last.trims);
-  registry.AddCounter("alloc/arena_leases",
-                      now.arena_leases - last.arena_leases);
   registry.SetGauge("alloc/cached_bytes",
                     static_cast<double>(now.cached_bytes));
   registry.SetGauge("alloc/raw_bytes", static_cast<double>(now.raw_bytes));
-  registry.SetGauge("alloc/arena_leased_bytes",
-                    static_cast<double>(now.arena_leased_bytes));
   last = now;
 }
 

@@ -1,6 +1,5 @@
 #include "serve/request_queue.h"
 
-#include <chrono>
 #include <utility>
 
 #include "utils/check.h"
@@ -42,44 +41,19 @@ bool RequestQueue::TryPush(Request request) {
   return true;
 }
 
-int RequestQueue::DrainLocked(Request* out, int max_count) {
-  int taken = 0;
-  while (taken < max_count && size_ > 0) {
-    Request& slot = ring_[static_cast<size_t>(head_)];
-    out[taken] = std::move(slot);
-    slot = Request{};  // drop the window reference promptly
-    head_ = (head_ + 1) % static_cast<int64_t>(ring_.size());
-    --size_;
-    ++taken;
-  }
-  return taken;
-}
-
-int RequestQueue::PopBatch(Request* out, int max_batch, int64_t window_us) {
-  FOCUS_CHECK_GT(max_batch, 0);
-  int got = 0;
+bool RequestQueue::Pop(Request* out) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [&] { return size_ > 0 || closed_; });
-    if (size_ == 0) return 0;  // closed and fully drained
-    got = DrainLocked(out, max_batch);
-    if (got < max_batch && window_us > 0 && !closed_) {
-      // Admission window: keep the batch open for stragglers arriving
-      // within window_us of the first admitted request.
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::microseconds(window_us);
-      while (got < max_batch && !closed_) {
-        if (!not_empty_.wait_until(lock, deadline, [&] {
-              return size_ > 0 || closed_;
-            })) {
-          break;  // window elapsed
-        }
-        got += DrainLocked(out + got, max_batch - got);
-      }
-    }
+    if (size_ == 0) return false;  // closed and fully drained
+    Request& slot = ring_[static_cast<size_t>(head_)];
+    *out = std::move(slot);
+    slot = Request{};  // drop the window reference promptly
+    head_ = (head_ + 1) % static_cast<int64_t>(ring_.size());
+    --size_;
   }
-  not_full_.notify_all();
-  return got;
+  not_full_.notify_one();
+  return true;
 }
 
 void RequestQueue::Close() {

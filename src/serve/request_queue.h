@@ -1,22 +1,17 @@
-// Bounded MPMC forecast-request queue with admission micro-batching.
+// Bounded MPMC forecast-request queue.
 //
 // Producers (request threads) Push one item per forecast request;
-// consumers (the engine's serving workers) PopBatch: block for the first
-// request, then keep admitting more until either `max_batch` requests are
-// in hand or the admission window (`window_us`) has elapsed since the
-// first pop. A burst of concurrent single-window requests therefore
-// leaves the queue as ONE batch and runs as one planned batch-N forward
-// instead of N batch-1 forwards (src/serve/engine.h).
+// consumers (the engine's serving workers) Pop one request at a time —
+// each request is one batch-1 forward (src/serve/engine.h), so there is
+// nothing to coalesce and no reason to wait for stragglers.
 //
 // Lock discipline: one mutex, short critical sections. The ring is
 // preallocated at construction — Push/Pop move Tensor handles in and out
 // of fixed slots (a refcount each way, no container growth), so the
-// steady-state queue makes no allocator calls of any kind. PopBatch
-// drains every admitted request under a single lock hold, which is what
-// makes admission batching cheaper than N independent pops.
+// steady-state queue makes no allocator calls of any kind.
 //
-// Shutdown: Close() wakes everyone; Push fails from then on, PopBatch
-// keeps draining what was already admitted and returns 0 only once the
+// Shutdown: Close() wakes everyone; Push fails from then on, Pop keeps
+// draining what was already admitted and returns false only once the
 // queue is empty — pending requests are never dropped.
 #ifndef FOCUS_SERVE_REQUEST_QUEUE_H_
 #define FOCUS_SERVE_REQUEST_QUEUE_H_
@@ -34,7 +29,7 @@ namespace serve {
 class PendingForecast;
 
 // One queued forecast request. The Tensor handle keeps the caller's
-// lookback window alive until the batch that admitted it completes.
+// lookback window alive until the forward that reads it completes.
 struct Request {
   Tensor window;                    // (N, L) lookback, all entities
   int64_t entity = -1;              // >= 0: answer only this entity's row
@@ -53,14 +48,11 @@ class RequestQueue {
   // Non-blocking admission; false when the queue is full or closed.
   bool TryPush(Request request);
 
-  // Pops between 1 and `max_batch` requests into `out`. Blocks until at
-  // least one request is available (or the queue is closed and drained —
-  // then returns 0). After the first request, admits more arrivals until
-  // `max_batch` or until `window_us` microseconds have passed since the
-  // first pop; `window_us == 0` takes only what is already queued.
-  int PopBatch(Request* out, int max_batch, int64_t window_us);
+  // Moves the oldest request into `out`. Blocks until one is available;
+  // returns false once the queue is closed and drained.
+  bool Pop(Request* out);
 
-  // Wakes all waiters; Push fails afterwards, PopBatch drains the rest.
+  // Wakes all waiters; Push fails afterwards, Pop drains the rest.
   void Close();
 
   int64_t depth() const;
@@ -70,9 +62,6 @@ class RequestQueue {
   RequestQueue& operator=(const RequestQueue&) = delete;
 
  private:
-  // Moves up to `max_count` requests out of the ring. Caller holds mu_.
-  int DrainLocked(Request* out, int max_count);
-
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;

@@ -65,8 +65,6 @@ std::atomic<int64_t> g_frees_cached{0};
 std::atomic<int64_t> g_frees_released{0};
 std::atomic<int64_t> g_trims{0};
 std::atomic<int64_t> g_trimmed_bytes{0};
-std::atomic<int64_t> g_arena_leases{0};
-std::atomic<int64_t> g_arena_leased_bytes{0};
 
 int OwnShard() {
   static std::atomic<unsigned> next{0};
@@ -237,9 +235,6 @@ AllocatorStats Allocator::Stats() const {
   stats.trimmed_bytes = g_trimmed_bytes.load(std::memory_order_relaxed);
   stats.cached_bytes = g_cached_bytes.load(std::memory_order_relaxed);
   stats.raw_bytes = g_raw_bytes.load(std::memory_order_relaxed);
-  stats.arena_leases = g_arena_leases.load(std::memory_order_relaxed);
-  stats.arena_leased_bytes =
-      g_arena_leased_bytes.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -251,43 +246,6 @@ void Allocator::SetCapBytes(int64_t bytes) {
   // Bypass (or a lowered cap) must not strand cached buffers.
   const int64_t cached = g_cached_bytes.load(std::memory_order_relaxed);
   if (cached > bytes) Trim();
-}
-
-ArenaLease::ArenaLease(int64_t numel) {
-  FOCUS_CHECK_GT(numel, 0) << "arena lease must hold at least one float";
-  data_ = Allocator::Get().Allocate(numel);
-  capacity_ = Allocator::SizeClassFloats(numel);
-  numel_ = numel;
-  g_arena_leases.fetch_add(1, std::memory_order_relaxed);
-  g_arena_leased_bytes.fetch_add(
-      capacity_ * static_cast<int64_t>(sizeof(float)),
-      std::memory_order_relaxed);
-}
-
-float* ArenaLease::AllocFloats(int64_t n) {
-  FOCUS_CHECK(data_ != nullptr) << "AllocFloats on an empty lease";
-  FOCUS_CHECK_GT(n, 0);
-  // Round every block to 16 floats (64 bytes) so successive blocks keep
-  // the slab's cache-line / AVX2 alignment.
-  const int64_t rounded = (n + 15) / 16 * 16;
-  FOCUS_CHECK_LE(used_ + rounded, capacity_)
-      << "arena lease exhausted (capacity " << capacity_ << " floats)";
-  float* p = data_ + used_;
-  used_ += rounded;
-  return p;
-}
-
-void ArenaLease::reset() {
-  if (data_ != nullptr) {
-    g_arena_leased_bytes.fetch_sub(
-        capacity_ * static_cast<int64_t>(sizeof(float)),
-        std::memory_order_relaxed);
-    Allocator::Get().Deallocate(data_, numel_);
-  }
-  data_ = nullptr;
-  capacity_ = 0;
-  numel_ = 0;
-  used_ = 0;
 }
 
 }  // namespace focus

@@ -62,8 +62,6 @@ struct AllocatorStats {
   int64_t trimmed_bytes = 0;   // total bytes released by Trim()
   int64_t cached_bytes = 0;    // bytes parked on free lists now (gauge)
   int64_t raw_bytes = 0;       // live + cached system bytes now (gauge)
-  int64_t arena_leases = 0;        // ArenaLease checkouts ever made
-  int64_t arena_leased_bytes = 0;  // bytes checked out to leases now (gauge)
 };
 
 class Allocator {
@@ -151,74 +149,6 @@ class SlabLease {
  private:
   float* data_ = nullptr;
   int64_t numel_ = 0;
-};
-
-// RAII lease on one allocator slab that a serving worker checks out per
-// in-flight batch and returns wholesale (src/serve). Between checkout and
-// return the owner carves the slab with a bump pointer: batch staging
-// buffers and per-request scratch are AllocFloats() calls that never touch
-// the allocator, so a warmed-up request path makes zero global-allocator
-// calls — the checkout itself is a free-list hit and the return parks the
-// slab for the next batch. Checkout/return are thread-safe (the allocator
-// is); the bump pointer belongs to exactly one batch at a time, so
-// AllocFloats()/Rewind() are deliberately unsynchronized. Lease traffic is
-// surfaced through AllocatorStats (arena_leases / arena_leased_bytes).
-class ArenaLease {
- public:
-  ArenaLease() = default;
-  // Checks a slab of at least `numel` floats out of the allocator.
-  explicit ArenaLease(int64_t numel);
-  ~ArenaLease() { reset(); }
-
-  ArenaLease(ArenaLease&& other) noexcept
-      : data_(other.data_),
-        capacity_(other.capacity_),
-        numel_(other.numel_),
-        used_(other.used_) {
-    other.data_ = nullptr;
-    other.capacity_ = 0;
-    other.numel_ = 0;
-    other.used_ = 0;
-  }
-  ArenaLease& operator=(ArenaLease&& other) noexcept {
-    if (this != &other) {
-      reset();
-      data_ = other.data_;
-      capacity_ = other.capacity_;
-      numel_ = other.numel_;
-      used_ = other.used_;
-      other.data_ = nullptr;
-      other.capacity_ = 0;
-      other.numel_ = 0;
-      other.used_ = 0;
-    }
-    return *this;
-  }
-  ArenaLease(const ArenaLease&) = delete;
-  ArenaLease& operator=(const ArenaLease&) = delete;
-
-  // Bump-pointer sub-allocation: returns a 64-byte-aligned block of
-  // `n` floats inside the leased slab. CHECK-fails on exhaustion — the
-  // lease holder sizes the slab for its batch up front.
-  float* AllocFloats(int64_t n);
-
-  // Forgets every sub-allocation; the slab stays checked out. The next
-  // AllocFloats() hands out the same addresses again.
-  void Rewind() { used_ = 0; }
-
-  // Returns the slab to the allocator wholesale.
-  void reset();
-
-  float* data() const { return data_; }
-  // Real slab capacity in floats (the size class `numel` rounded into).
-  int64_t capacity() const { return capacity_; }
-  int64_t used() const { return used_; }
-
- private:
-  float* data_ = nullptr;
-  int64_t capacity_ = 0;  // class capacity backing the lease
-  int64_t numel_ = 0;     // original request, for symmetric Deallocate
-  int64_t used_ = 0;      // bump offset in floats
 };
 
 }  // namespace focus

@@ -10,17 +10,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "tensor/memory.h"
-#include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "utils/check.h"
 #include "utils/env.h"
-#include "utils/rng.h"
 
 namespace focus {
 namespace {
@@ -273,146 +270,6 @@ TEST(AllocatorTest, ConcurrentAllocFreeStress) {
   // no more raw bytes than it did cached-elsewhere before the test.
   alloc.Trim();
   EXPECT_EQ(alloc.Stats().cached_bytes, 0);
-}
-
-TEST(ArenaLeaseTest, BumpAllocatesAlignedBlocksAndRewinds) {
-  ScopedCap cap(64 * kMiB);
-  ArenaLease lease(1000);
-  ASSERT_NE(lease.data(), nullptr);
-  EXPECT_EQ(lease.capacity(), Allocator::SizeClassFloats(1000));
-  EXPECT_EQ(lease.used(), 0);
-
-  float* a = lease.AllocFloats(10);  // rounds to 16 floats (64 B)
-  float* b = lease.AllocFloats(16);
-  float* c = lease.AllocFloats(17);  // rounds to 32
-  EXPECT_EQ(a, lease.data());
-  EXPECT_EQ(b, a + 16);
-  EXPECT_EQ(c, b + 16);
-  EXPECT_EQ(lease.used(), 16 + 16 + 32);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % 64, 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % 64, 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(c) % 64, 0u);
-
-  lease.Rewind();
-  EXPECT_EQ(lease.used(), 0);
-  EXPECT_EQ(lease.AllocFloats(8), a);  // same addresses after rewind
-}
-
-TEST(ArenaLeaseTest, StatsCountCheckoutsAndTrackLeasedBytes) {
-  ScopedCap cap(64 * kMiB);
-  Allocator& alloc = Allocator::Get();
-  const AllocatorStats before = alloc.Stats();
-  {
-    ArenaLease lease(1000);  // class 1024 floats = 4096 B
-    const AllocatorStats held = alloc.Stats();
-    EXPECT_EQ(held.arena_leases - before.arena_leases, 1);
-    EXPECT_EQ(held.arena_leased_bytes - before.arena_leased_bytes, 4096);
-  }
-  const AllocatorStats returned = alloc.Stats();
-  // arena_leases is monotonic; the byte gauge dropped back on return.
-  EXPECT_EQ(returned.arena_leases - before.arena_leases, 1);
-  EXPECT_EQ(returned.arena_leased_bytes, before.arena_leased_bytes);
-
-  // A warmed cache makes the checkout a free-list hit: no system traffic.
-  const AllocatorStats warm_before = alloc.Stats();
-  {
-    ArenaLease lease(1000);
-    (void)lease;
-  }
-  const AllocatorStats warm_after = alloc.Stats();
-  EXPECT_EQ(warm_after.hits - warm_before.hits, 1);
-  EXPECT_EQ(warm_after.misses - warm_before.misses, 0);
-  EXPECT_EQ(warm_after.frees_released - warm_before.frees_released, 0);
-}
-
-TEST(ArenaLeaseTest, MoveTransfersOwnershipWithoutDoubleReturn) {
-  ScopedCap cap(64 * kMiB);
-  Allocator& alloc = Allocator::Get();
-  const AllocatorStats before = alloc.Stats();
-  {
-    ArenaLease lease(256);
-    float* data = lease.data();
-    ArenaLease moved = std::move(lease);
-    EXPECT_EQ(moved.data(), data);
-    EXPECT_EQ(lease.data(), nullptr);
-    // The moved-from lease must not decrement the gauge on destruction.
-    EXPECT_EQ(alloc.Stats().arena_leased_bytes -
-                  before.arena_leased_bytes,
-              static_cast<int64_t>(Allocator::SizeClassFloats(256)) * 4);
-  }
-  EXPECT_EQ(alloc.Stats().arena_leased_bytes, before.arena_leased_bytes);
-}
-
-// Arena memory is plain allocator memory: a kernel reading a tensor
-// aliased over a leased slab must produce bit-identical output to the
-// same kernel over a normally-allocated tensor with the same contents.
-TEST(ArenaLeaseTest, LeasedBufferKernelsBitMatchGlobalAllocation) {
-  ScopedCap cap(64 * kMiB);
-  constexpr int64_t kRows = 8, kCols = 32;
-  Rng rng(123);
-  Tensor normal = Tensor::Randn({kRows, kCols}, rng);
-  Rng wrng(77);
-  Tensor weights = Tensor::Randn({kCols, 16}, wrng);
-
-  ArenaLease lease(kRows * kCols);
-  float* staged = lease.AllocFloats(kRows * kCols);
-  std::memcpy(staged, normal.data(),
-              static_cast<size_t>(kRows * kCols) * sizeof(float));
-  Tensor aliased = Tensor::FromImpl(std::make_shared<TensorImpl>(
-      Shape{kRows, kCols}, std::shared_ptr<float[]>(staged, [](float*) {})));
-
-  InferenceModeGuard inference;
-  Tensor out_normal = MatMul(normal, weights);
-  Tensor out_aliased = MatMul(aliased, weights);
-  ASSERT_EQ(out_normal.shape(), out_aliased.shape());
-  EXPECT_EQ(0, std::memcmp(out_normal.data(), out_aliased.data(),
-                           static_cast<size_t>(out_normal.numel()) *
-                               sizeof(float)));
-}
-
-// Concurrent checkout/carve/return across threads (the serve engine's
-// steady state with multiple workers). Registered in the TSAN ctest
-// matrix at 4 and 8 threads via FOCUS_NUM_THREADS.
-TEST(ArenaLeaseTest, ConcurrentCheckoutStress) {
-  ScopedCap cap(64 * kMiB);
-  Allocator& alloc = Allocator::Get();
-  const int num_threads = static_cast<int>(
-      GetEnvIntInRangeOr("FOCUS_NUM_THREADS", 4, 1, 64));
-  constexpr int kIters = 300;
-  const int64_t slab_sizes[] = {128, 1000, 4096, 70000};
-  const AllocatorStats before = alloc.Stats();
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(num_threads));
-  for (int t = 0; t < num_threads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kIters; ++i) {
-        const int64_t numel =
-            slab_sizes[static_cast<size_t>(t + i) %
-                       (sizeof(slab_sizes) / sizeof(int64_t))];
-        ArenaLease lease(numel);
-        // Carve the slab in uneven strides (each rounds up to 64 floats)
-        // and verify the writes: blocks from one lease never overlap
-        // another thread's lease.
-        const float sentinel = static_cast<float>(t * kIters + i);
-        const int64_t n = 49 + t % 16;  // rounds to a 64-float block
-        while (lease.used() + 64 <= lease.capacity()) {
-          float* block = lease.AllocFloats(n);
-          block[0] = sentinel;
-          block[n - 1] = sentinel;
-          ASSERT_EQ(block[0], sentinel);
-          ASSERT_EQ(block[n - 1], sentinel);
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-
-  const AllocatorStats after = alloc.Stats();
-  EXPECT_EQ(after.arena_leases - before.arena_leases,
-            static_cast<int64_t>(num_threads) * kIters);
-  // Every lease was returned.
-  EXPECT_EQ(after.arena_leased_bytes, before.arena_leased_bytes);
 }
 
 }  // namespace

@@ -432,11 +432,10 @@ TEST(ParityTest, ForecastPlannedVsEagerBitIdentical) {
 
 // The serving axis of the bit-identity contract: a forecast answered by
 // the serving engine must match the eager single-request forward of the
-// same window byte-for-byte, no matter which requests it was admission-
-// batched with, how the batch was ladder-padded, how many serving workers
-// raced for the queue, the kernel pool size, or the SIMD backend. Row
-// independence of every batched kernel plus plan-replay bit-identity
-// reduce all of these axes to the one golden eager reference.
+// same window byte-for-byte, no matter how many serving workers raced for
+// the queue, the kernel pool size, or the SIMD backend. Plan-replay
+// bit-identity reduces all of these axes to the one golden eager
+// reference.
 TEST(ParityTest, ServedVsEagerBitIdentical) {
   core::FocusConfig cfg;
   cfg.lookback = 32;
@@ -473,35 +472,28 @@ TEST(ParityTest, ServedVsEagerBitIdentical) {
     for (int serve_threads : {1, 2}) {
       for (int pool_threads : {1, 4}) {
         ThreadPool::Global().Resize(pool_threads);
-        for (bool batched : {false, true}) {
-          serve::ServeOptions opts;
-          opts.threads = serve_threads;
-          opts.batch_window_us = batched ? 500 : 0;
-          opts.max_batch = batched ? 8 : 1;
-          serve::ForecastEngine engine(model.get(), 3, 32, opts);
-          std::vector<std::thread> clients;
-          clients.reserve(kClients);
-          for (int c = 0; c < kClients; ++c) {
-            clients.emplace_back([&, c] {
-              for (int i = 0; i < kWindows; ++i) {
-                const int w = (i + c) % kWindows;
-                Tensor served = engine.Forecast(windows[w]);
-                ASSERT_TRUE(served.defined());
-                ASSERT_EQ(served.numel(), refs[w].numel());
-                ASSERT_EQ(0,
-                          std::memcmp(served.data(), refs[w].data(),
-                                      static_cast<size_t>(served.numel()) *
-                                          sizeof(float)))
-                    << "window " << w << " differs when served ("
-                    << backend_name << ", " << serve_threads
-                    << " serve threads, " << pool_threads
-                    << " pool threads, "
-                    << (batched ? "batched" : "batch-1") << ")";
-              }
-            });
-          }
-          for (std::thread& t : clients) t.join();
+        serve::ServeOptions opts;
+        opts.threads = serve_threads;
+        serve::ForecastEngine engine(model.get(), 3, 32, opts);
+        std::vector<std::thread> clients;
+        clients.reserve(kClients);
+        for (int c = 0; c < kClients; ++c) {
+          clients.emplace_back([&, c] {
+            for (int i = 0; i < kWindows; ++i) {
+              const int w = (i + c) % kWindows;
+              Tensor served = engine.Forecast(windows[w]);
+              ASSERT_TRUE(served.defined());
+              ASSERT_EQ(served.numel(), refs[w].numel());
+              ASSERT_EQ(0, std::memcmp(served.data(), refs[w].data(),
+                                       static_cast<size_t>(served.numel()) *
+                                           sizeof(float)))
+                  << "window " << w << " differs when served ("
+                  << backend_name << ", " << serve_threads
+                  << " serve threads, " << pool_threads << " pool threads)";
+            }
+          });
         }
+        for (std::thread& t : clients) t.join();
       }
     }
     ThreadPool::Global().Resize(1);

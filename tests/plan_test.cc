@@ -24,6 +24,7 @@
 #include "tensor/ops.h"
 #include "tensor/simd/vec.h"
 #include "tensor/tensor.h"
+#include "tests/conv2d_model.h"
 
 namespace focus {
 namespace {
@@ -361,29 +362,6 @@ TEST(PlanTest, FusedAndUnfusedRunsAreBitIdentical) {
   ExpectSameBytes(unfused->Run(x), eager, "unfused vs eager");
   ExpectSameBytes(fused->Run(x), eager, "fused vs eager");
 }
-
-// A (B, N, L) -> (B, N, L) model whose forward routes through Conv2d,
-// which has no capture hook: capture must fail closed, and the
-// forecaster must keep serving the shape eagerly.
-class Conv2dModel : public ForecastModel {
- public:
-  Conv2dModel() {
-    Rng rng(12);
-    w_ = RegisterParameter("w", Tensor::Randn({1, 1, 3, 3}, rng));
-    b_ = RegisterParameter("b", Tensor::Zeros({1}));
-  }
-  Tensor Forward(const Tensor& x) override {
-    Tensor h = Reshape(x, {x.size(0), 1, x.size(1), x.size(2)});
-    h = Conv2d(h, w_, b_, /*stride=*/1, /*padding=*/1);
-    return Reshape(h, {x.size(0), x.size(1), x.size(2)});
-  }
-  std::string name() const override { return "Conv2dModel"; }
-  int64_t horizon() const override { return 16; }
-
- private:
-  Tensor w_;
-  Tensor b_;
-};
 
 TEST(PlanTest, UninstrumentedOpFailsCaptureAndFallsBackEager) {
   Conv2dModel model;

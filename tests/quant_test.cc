@@ -235,8 +235,6 @@ TEST(QuantServeTest, PerTenantPrecisionBitIdenticalToEager) {
   for (const auto& tenant : kTenants) {
     serve::ServeOptions opts;
     opts.threads = 1;
-    opts.batch_window_us = 0;
-    opts.max_batch = 4;
     opts.precision = tenant.precision;
     serve::ForecastEngine engine(model.get(), kEntities, kLookback, opts);
     EXPECT_EQ(engine.precision(), tenant.precision);

@@ -1,13 +1,14 @@
-// Tests for the multi-tenant forecast serving engine (src/serve):
-// admission micro-batching semantics on the request queue, bit-identity
-// of served forecasts against the eager single-request forward across
-// batch compositions and padding, the zero-global-allocator-calls
-// steady-state contract of the arena-leased request path, latency/
-// throughput telemetry, and shutdown draining.
+// Tests for the multi-tenant forecast serving engine (src/serve): FIFO,
+// blocking and draining semantics of the request queue, bit-identity of
+// served forecasts against the eager single-request forward on both the
+// planned path and the eager fallback, the zero-global-allocator-calls
+// steady-state contract of the request path, request validation, latency
+// telemetry, and shutdown draining.
 #include "serve/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "tensor/allocator.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "tests/conv2d_model.h"
 #include "utils/rng.h"
 
 namespace focus {
@@ -88,7 +90,7 @@ void ExpectSameBytes(const Tensor& a, const Tensor& b, const char* what) {
       << what;
 }
 
-TEST(RequestQueueTest, PopBatchTakesWhatIsQueuedWithoutWindow) {
+TEST(RequestQueueTest, PopIsFifo) {
   RequestQueue queue(8);
   PendingForecast slots[3];
   for (int i = 0; i < 3; ++i) {
@@ -98,31 +100,28 @@ TEST(RequestQueueTest, PopBatchTakesWhatIsQueuedWithoutWindow) {
     ASSERT_TRUE(queue.Push(std::move(r)));
   }
   EXPECT_EQ(queue.depth(), 3);
-  Request out[8];
-  EXPECT_EQ(queue.PopBatch(out, 8, /*window_us=*/0), 3);
+  for (int i = 0; i < 3; ++i) {
+    Request out;
+    ASSERT_TRUE(queue.Pop(&out));
+    EXPECT_EQ(out.done, &slots[i]) << "pop " << i;
+  }
   EXPECT_EQ(queue.depth(), 0);
-  EXPECT_EQ(out[0].done, &slots[0]);
-  EXPECT_EQ(out[2].done, &slots[2]);
 }
 
-TEST(RequestQueueTest, AdmissionWindowCoalescesLateArrivals) {
+TEST(RequestQueueTest, PopBlocksUntilPush) {
   RequestQueue queue(8);
-  PendingForecast first_slot, late_slot;
-  Request first;
-  first.window = MakeWindow(1);
-  first.done = &first_slot;
-  ASSERT_TRUE(queue.Push(std::move(first)));
-  std::thread late([&] {
+  PendingForecast slot;
+  std::thread pusher([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
     Request r;
     r.window = MakeWindow(2);
-    r.done = &late_slot;
+    r.done = &slot;
     ASSERT_TRUE(queue.Push(std::move(r)));
   });
-  // A generous window admits the concurrent pusher into the same batch.
-  Request out[8];
-  const int got = queue.PopBatch(out, 8, /*window_us=*/2 * 1000 * 1000);
-  late.join();
-  EXPECT_EQ(got, 2);
+  Request out;
+  ASSERT_TRUE(queue.Pop(&out));  // waits for the pusher
+  pusher.join();
+  EXPECT_EQ(out.done, &slot);
 }
 
 TEST(RequestQueueTest, CloseFailsPushesAndDrainsPops) {
@@ -137,9 +136,9 @@ TEST(RequestQueueTest, CloseFailsPushesAndDrainsPops) {
   rejected.window = MakeWindow(4);
   rejected.done = &slot;
   EXPECT_FALSE(queue.Push(std::move(rejected)));
-  Request out[4];
-  EXPECT_EQ(queue.PopBatch(out, 4, 1000), 1);  // drains the admitted one
-  EXPECT_EQ(queue.PopBatch(out, 4, 1000), 0);  // closed and empty
+  Request out;
+  EXPECT_TRUE(queue.Pop(&out));   // drains the admitted one
+  EXPECT_FALSE(queue.Pop(&out));  // closed and empty
 }
 
 TEST(ServeTest, SingleRequestMatchesEagerBitIdentical) {
@@ -148,8 +147,6 @@ TEST(ServeTest, SingleRequestMatchesEagerBitIdentical) {
   Tensor ref = EagerReference(*model, window);
   ServeOptions opts;
   opts.threads = 1;
-  opts.batch_window_us = 0;
-  opts.max_batch = 4;
   ForecastEngine engine(model.get(), kEntities, kLookback, opts);
   Tensor served = engine.Forecast(window);
   ExpectSameBytes(served, ref, "served vs eager");
@@ -159,7 +156,7 @@ TEST(ServeTest, SingleRequestMatchesEagerBitIdentical) {
   EXPECT_EQ(stats.eager_batches, 0);
 }
 
-TEST(ServeTest, PausedBurstCoalescesIntoOneBatch) {
+TEST(ServeTest, PausedBurstServesOneForwardPerRequest) {
   auto model = ServableModel();
   constexpr int kBurst = 8;
   std::vector<Tensor> windows, refs;
@@ -169,8 +166,6 @@ TEST(ServeTest, PausedBurstCoalescesIntoOneBatch) {
   }
   ServeOptions opts;
   opts.threads = 1;
-  opts.batch_window_us = 0;
-  opts.max_batch = kBurst;
   opts.start_paused = true;
   ForecastEngine engine(model.get(), kEntities, kLookback, opts);
   std::vector<PendingForecast> slots(kBurst);
@@ -182,38 +177,12 @@ TEST(ServeTest, PausedBurstCoalescesIntoOneBatch) {
     ExpectSameBytes(slots[i].Wait(), refs[i], "burst member vs eager");
   }
   const serve::EngineStats stats = engine.stats();
+  // All eight were queued before any worker existed; each still runs as
+  // its own batch-1 planned forward.
   EXPECT_EQ(stats.requests, kBurst);
-  // All eight were queued before any worker existed: one planned
-  // batch-8 forward, not eight batch-1 forwards.
-  EXPECT_EQ(stats.batches, 1);
-  EXPECT_EQ(stats.planned_batches, 1);
+  EXPECT_EQ(stats.batches, kBurst);
+  EXPECT_EQ(stats.planned_batches, kBurst);
   EXPECT_EQ(stats.padded_rows, 0);
-}
-
-TEST(ServeTest, BatchPaddingDoesNotChangeBits) {
-  auto model = ServableModel();
-  std::vector<Tensor> windows, refs;
-  for (int i = 0; i < 3; ++i) {
-    windows.push_back(MakeWindow(70 + i));
-    refs.push_back(EagerReference(*model, windows.back()));
-  }
-  ServeOptions opts;
-  opts.threads = 1;
-  opts.batch_window_us = 0;
-  opts.max_batch = 8;  // ladder {1,2,4,8}: 3 requests pad to 4 rows
-  opts.start_paused = true;
-  ForecastEngine engine(model.get(), kEntities, kLookback, opts);
-  std::vector<PendingForecast> slots(3);
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(engine.Submit(windows[i], &slots[i]));
-  }
-  engine.Start();
-  for (int i = 0; i < 3; ++i) {
-    ExpectSameBytes(slots[i].Wait(), refs[i], "padded batch vs eager");
-  }
-  const serve::EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.batches, 1);
-  EXPECT_EQ(stats.padded_rows, 1);
 }
 
 TEST(ServeTest, EntityRequestsReturnTheirRows) {
@@ -222,7 +191,6 @@ TEST(ServeTest, EntityRequestsReturnTheirRows) {
   Tensor ref = EagerReference(*model, window);
   ServeOptions opts;
   opts.threads = 1;
-  opts.max_batch = 4;
   ForecastEngine engine(model.get(), kEntities, kLookback, opts);
   for (int64_t entity = 0; entity < kEntities; ++entity) {
     Tensor row = engine.Forecast(window, entity);
@@ -233,7 +201,7 @@ TEST(ServeTest, EntityRequestsReturnTheirRows) {
   }
 }
 
-TEST(ServeTest, ConcurrentClientsBitIdenticalAndBatched) {
+TEST(ServeTest, ConcurrentClientsBitIdentical) {
   auto model = ServableModel();
   constexpr int kClients = 4;
   constexpr int kPerClient = 10;
@@ -248,8 +216,6 @@ TEST(ServeTest, ConcurrentClientsBitIdenticalAndBatched) {
   }
   ServeOptions opts;
   opts.threads = 2;
-  opts.batch_window_us = 500;
-  opts.max_batch = 8;
   ForecastEngine engine(model.get(), kEntities, kLookback, opts);
   std::vector<std::thread> clients;
   clients.reserve(kClients);
@@ -265,7 +231,7 @@ TEST(ServeTest, ConcurrentClientsBitIdenticalAndBatched) {
   const serve::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.requests, kClients * kPerClient);
   EXPECT_EQ(stats.eager_batches, 0)
-      << "every admitted batch size must be prewarmed";
+      << "every worker's batch-1 plan must be prewarmed";
 }
 
 TEST(ServeTest, ZeroSteadyStateGlobalAllocatorCallsOnRequestPath) {
@@ -279,17 +245,14 @@ TEST(ServeTest, ZeroSteadyStateGlobalAllocatorCallsOnRequestPath) {
   auto model = ServableModel();
   ServeOptions opts;
   opts.threads = 1;
-  opts.batch_window_us = 0;
-  opts.max_batch = 8;
   opts.start_paused = true;
   ForecastEngine engine(model.get(), kEntities, kLookback, opts);
 
   std::vector<Tensor> windows;
   for (int i = 0; i < 8; ++i) windows.push_back(MakeWindow(300 + i));
 
-  // One paused burst of every size the ladder admits, so every arena
-  // slab class and response-buffer class the steady state will touch is
-  // in the free lists before measuring.
+  // Warm-up bursts of every size up to 8, so every response-buffer class
+  // the steady state will touch is in the free lists before measuring.
   auto run_burst = [&](int size) {
     std::vector<PendingForecast> slots(static_cast<size_t>(size));
     for (int i = 0; i < size; ++i) {
@@ -306,37 +269,28 @@ TEST(ServeTest, ZeroSteadyStateGlobalAllocatorCallsOnRequestPath) {
   }
 
   const AllocatorStats before = allocator.Stats();
-  const serve::EngineStats batches_before = engine.stats();
   for (int round = 0; round < 4; ++round) {
     for (int size = 1; size <= 8; ++size) run_burst(size);
   }
   const AllocatorStats after = allocator.Stats();
-  const serve::EngineStats batches_after = engine.stats();
 
   // The request path recycles everything: no system allocations, no
   // system frees — only free-list hits and cached returns.
   EXPECT_EQ(after.misses, before.misses);
   EXPECT_EQ(after.frees_released, before.frees_released);
-  // Every batch checked out (and returned) exactly one arena slab.
-  EXPECT_EQ(after.arena_leases - before.arena_leases,
-            batches_after.batches - batches_before.batches);
-  EXPECT_GT(after.arena_leases, before.arena_leases);
-  EXPECT_EQ(after.arena_leased_bytes, before.arena_leased_bytes);
 
   engine.Shutdown();
   allocator.SetCapBytes(saved_cap);
 }
 
-TEST(ServeTest, LatencyAndBatchMetricsExported) {
+TEST(ServeTest, LatencyMetricsExported) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
   registry.ResetHistogram(ForecastEngine::kLatencyMetric);
-  registry.ResetHistogram(ForecastEngine::kBatchSizeMetric);
   const int64_t requests_before = registry.CounterValue("serve/requests");
 
   auto model = ServableModel();
   ServeOptions opts;
   opts.threads = 1;
-  opts.max_batch = 4;
   ForecastEngine engine(model.get(), kEntities, kLookback, opts);
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(engine.Forecast(MakeWindow(400 + i)).defined());
@@ -347,27 +301,64 @@ TEST(ServeTest, LatencyAndBatchMetricsExported) {
   EXPECT_GE(latency.p95, latency.p50);
   EXPECT_GE(latency.p99, latency.p95);
   EXPECT_EQ(registry.CounterValue("serve/requests") - requests_before, 5);
-  EXPECT_EQ(registry.Summarize(ForecastEngine::kBatchSizeMetric).count,
-            engine.stats().batches);
 }
 
-TEST(ServeTest, PrewarmedPlansServeEveryLadderSize) {
+TEST(ServeTest, PrewarmsOnePlanPerWorker) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
   const int64_t prewarm_before = registry.CounterValue("plan/prewarm");
   auto model = ServableModel();
   ServeOptions opts;
-  opts.threads = 1;
-  opts.max_batch = 4;  // ladder {1, 2, 4}
+  opts.threads = 2;
   ForecastEngine engine(model.get(), kEntities, kLookback, opts);
-  EXPECT_EQ(engine.prewarm_ladder(), (std::vector<int64_t>{1, 2, 4}));
-  EXPECT_EQ(registry.CounterValue("plan/prewarm") - prewarm_before, 3);
+  EXPECT_EQ(registry.CounterValue("plan/prewarm") - prewarm_before, 2);
+}
+
+// A model whose capture fails is served entirely on the serialized eager
+// fallback: concurrent clients on two workers still get the eager bits.
+TEST(ServeTest, EagerFallbackServesUncapturableModel) {
+  constexpr int64_t kN = 4, kL = 16;
+  Conv2dModel model;
+  model.SetTraining(false);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
+  const int64_t prewarm_before = registry.CounterValue("plan/prewarm");
+  ServeOptions opts;
+  opts.threads = 2;
+  ForecastEngine engine(&model, kN, kL, opts);
+  EXPECT_EQ(registry.CounterValue("plan/prewarm"), prewarm_before)
+      << "capture must fail, so nothing is prewarmed";
+
+  constexpr int kClients = 3;
+  constexpr int kPerClient = 6;
+  std::vector<Tensor> windows, refs;
+  for (int i = 0; i < kPerClient; ++i) {
+    Rng rng(600 + static_cast<uint64_t>(i));
+    windows.push_back(Tensor::Randn({kN, kL}, rng));
+    InferenceModeGuard inference;
+    refs.push_back(model.Forward(windows.back().Reshape({1, kN, kL}))
+                       .Reshape({kN, kL}));
+  }
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kPerClient; ++i) {
+        const int w = (i + c) % kPerClient;
+        ExpectSameBytes(engine.Forecast(windows[w]), refs[w],
+                        "eager fallback vs eager");
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  const serve::EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.requests, kClients * kPerClient);
+  EXPECT_EQ(stats.eager_batches, stats.requests);
+  EXPECT_EQ(stats.planned_batches, 0);
 }
 
 TEST(ServeTest, TrySubmitRejectsWhenFullAndShutdownDrains) {
   auto model = ServableModel();
   ServeOptions opts;
   opts.threads = 1;
-  opts.max_batch = 2;
   opts.queue_capacity = 4;
   opts.start_paused = true;
   ForecastEngine engine(model.get(), kEntities, kLookback, opts);
@@ -387,6 +378,21 @@ TEST(ServeTest, TrySubmitRejectsWhenFullAndShutdownDrains) {
   // Admission is closed for good.
   PendingForecast late;
   EXPECT_FALSE(engine.Submit(window, &late));
+}
+
+// Submit and TrySubmit share one validator: an entity below -1 aborts
+// either way instead of being answered with the whole forecast.
+TEST(ServeDeathTest, TrySubmitRejectsEntityBelowMinusOne) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  auto model = ServableModel();
+  ServeOptions opts;
+  opts.threads = 1;
+  opts.start_paused = true;
+  ForecastEngine engine(model.get(), kEntities, kLookback, opts);
+  Tensor window = MakeWindow(92);
+  PendingForecast done;
+  EXPECT_DEATH(engine.TrySubmit(window, -2, &done), "check failed.*entity");
+  EXPECT_DEATH(engine.Submit(window, -2, &done), "check failed.*entity");
 }
 
 }  // namespace
