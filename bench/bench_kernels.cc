@@ -34,10 +34,6 @@
 #define FOCUS_BENCH_HAVE_SIMD 1
 #endif
 
-#if __has_include("tensor/precision.h")
-#define FOCUS_BENCH_HAVE_INT8 1
-#endif
-
 #if __has_include("plan/plan.h")
 #include "core/focus_model.h"
 #include "plan/plan.h"
@@ -205,27 +201,6 @@ void BM_VecExp(benchmark::State& state) {
 }
 BENCHMARK(BM_VecExp)->Arg(4096)->Arg(1 << 16);
 
-#ifdef FOCUS_BENCH_HAVE_INT8
-// Raw int8 dot product — the inner loop of the int8proto assignment
-// sweep (one call per token/prototype pair).
-void BM_VecDotI8(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  std::vector<int8_t> a(static_cast<size_t>(n));
-  std::vector<int8_t> b(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    a[static_cast<size_t>(i)] = static_cast<int8_t>((i * 37 + 11) % 255 - 127);
-    b[static_cast<size_t>(i)] = static_cast<int8_t>((i * 53 + 5) % 255 - 127);
-  }
-  const auto kern = simd::Kernels().dot_i8;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kern(a.data(), b.data(), n));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  ReportBytes(state, 2 * n);
-  state.SetLabel(simd::BackendName());
-}
-BENCHMARK(BM_VecDotI8)->Arg(16)->Arg(64)->Arg(4096);
-#endif  // FOCUS_BENCH_HAVE_INT8
 #endif  // FOCUS_BENCH_HAVE_SIMD
 
 // ProtoAttn forward cost as the token count l grows: expect ~linear time.

@@ -46,7 +46,7 @@ namespace {
 
 // Hard MSE budget, every dataset: the absolute increase over the f32
 // MSE an int8proto evaluation may show on the z-scored test windows.
-// int8 requantizes the assignment argmin and may flip borderline tokens
+// int8 rounding of the assignment operands may flip borderline tokens
 // to a neighbouring prototype; the budget leaves ~10x headroom over the
 // measured deltas (see results/BENCH_quant.json for the recorded runs).
 constexpr double kInt8ProtoBudget = 0.05;

@@ -43,12 +43,7 @@ repo rules — correctness contracts from the parallel-kernel layer:
                      table. Float-width conversion intrinsics (_mm*_cvt*,
                      the F16C scalar pair) are confined to src/tensor/simd/,
                      where both backends compile every kernel from one
-                     source so rounding is identical. The int8 requantize
-                     primitive dot_i8 is additionally confined to
-                     src/core/proto_attn.cc (the sole int8 consumer) plus
-                     tests/ and bench/ which exercise the kernel directly; a
-                     second consumer would fork the requantization math. No
-                     NOLINT escape.
+                     source so rounding is identical. No NOLINT escape.
   raw-getenv         libc getenv / secure_getenv outside src/utils/. The
                      hardened helpers (GetEnvOr / GetEnvIntInRangeOr in
                      utils/env.h) own the warn-and-fallback contract for
@@ -238,14 +233,12 @@ def check_plan_containment(path, raw, code):
 
 
 def check_precision_containment(path, raw, code):
-    # Float-width conversions round; int8 requantization rescales. Both
-    # are deterministic only because exactly one implementation of each
-    # exists (kernels.inc, both backends from one source). A raw
-    # conversion intrinsic elsewhere — including the SSE/F16C ones the
-    # _mm256 simd-containment pattern does not catch — would fork the
-    # rounding, so they are confined to src/tensor/simd/ with no NOLINT
-    # escape. dot_i8 (the only int8 kernel) additionally admits exactly
-    # one product consumer: the ProtoAttn assignment path.
+    # Float-width conversions round, and are deterministic only because
+    # exactly one implementation exists (kernels.inc, both backends from
+    # one source). A raw conversion intrinsic elsewhere — including the
+    # SSE/F16C ones the _mm256 simd-containment pattern does not catch —
+    # would fork the rounding, so they are confined to src/tensor/simd/
+    # with no NOLINT escape.
     rel = str(path.relative_to(REPO_ROOT)).replace("\\", "/")
     if rel.startswith("src/tensor/simd/"):
         return
@@ -254,14 +247,6 @@ def check_precision_containment(path, raw, code):
         report(path, line_of(code, m.start()), "precision-containment",
                f"conversion intrinsic '{m.group(0)}' outside "
                "src/tensor/simd/; add a kernel-table entry instead")
-    if (rel == "src/core/proto_attn.cc" or rel.startswith("tests/")
-            or rel.startswith("bench/")):
-        return
-    for m in re.finditer(r"\bdot_i8\b", code):
-        report(path, line_of(code, m.start()), "precision-containment",
-               "dot_i8 outside src/core/proto_attn.cc; the int8 requantize "
-               "path has exactly one product consumer — go through "
-               "ProtoAttn::AssignTokens")
 
 
 def check_raw_getenv(path, raw, code):

@@ -9,6 +9,7 @@
 
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
+#include "tensor/simd/vec.h"
 #include "utils/check.h"
 #include "utils/stopwatch.h"
 
@@ -47,6 +48,87 @@ float CompositeDistance(const float* segment, const float* prototype,
   return static_cast<float>(sq) + alpha * (1.0f - corr);
 }
 
+SegmentMoments ZNormalize(const float* src, int64_t p, float* dst) {
+  double mean = 0;
+  for (int64_t j = 0; j < p; ++j) mean += src[j];
+  mean /= p;
+  double var = 0;
+  for (int64_t j = 0; j < p; ++j) var += (src[j] - mean) * (src[j] - mean);
+  const SegmentMoments moments{mean, std::sqrt(var / p)};
+  const float inv_std = 1.0f / (static_cast<float>(moments.std) + 1e-4f);
+  for (int64_t j = 0; j < p; ++j) {
+    dst[j] = (src[j] - static_cast<float>(mean)) * inv_std;
+  }
+  return moments;
+}
+
+namespace {
+
+// Writes row - mean(row) to `out` and returns the mean. The mean stays in
+// double so the p (m_t - m_c)^2 term of Eq. 6 keeps its precision on
+// segments far from zero mean.
+double Center(const float* row, int64_t p, float* out) {
+  double mean = 0;
+  for (int64_t d = 0; d < p; ++d) mean += row[d];
+  mean /= p;
+  for (int64_t d = 0; d < p; ++d) {
+    out[d] = static_cast<float>(row[d] - mean);
+  }
+  return mean;
+}
+
+}  // namespace
+
+PrototypeBank::PrototypeBank(const float* rows, int64_t k, int64_t p)
+    : k(k),
+      p(p),
+      centered(static_cast<size_t>(k * p)),
+      mean(static_cast<size_t>(k)),
+      var(static_cast<size_t>(k)) {
+  const auto dot = simd::Kernels().dot;
+  for (int64_t j = 0; j < k; ++j) {
+    float* c = centered.data() + j * p;
+    mean[static_cast<size_t>(j)] = Center(rows + j * p, p, c);
+    var[static_cast<size_t>(j)] = dot(c, c, p);
+  }
+}
+
+void NearestPrototypes(const float* rows, int64_t n,
+                       const PrototypeBank& bank, float alpha, int64_t* idx,
+                       float* dist) {
+  const int64_t k = bank.k, p = bank.p;
+  const auto dot = simd::Kernels().dot;
+  std::vector<float> t(static_cast<size_t>(p));
+  for (int64_t i = 0; i < n; ++i) {
+    const double m_t = Center(rows + i * p, p, t.data());
+    const float var_t = dot(t.data(), t.data(), p);
+    float best = std::numeric_limits<float>::max();
+    int64_t best_j = 0;
+    for (int64_t j = 0; j < k; ++j) {
+      const size_t sj = static_cast<size_t>(j);
+      const float var_c = bank.var[sj];
+      const float x = dot(t.data(), bank.centered.data() + j * p, p);
+      const double dm = m_t - bank.mean[sj];
+      // Rounding can take the centered squared distance just below 0.
+      float d = std::max(var_t + var_c - 2.0f * x, 0.0f) +
+                static_cast<float>(static_cast<double>(p) * dm * dm);
+      if (alpha != 0.0f) {
+        float corr = 0.0f;
+        if (var_t >= 1e-12f && var_c >= 1e-12f) {
+          corr = x / std::sqrt(var_t * var_c);
+        }
+        d += alpha * (1.0f - corr);
+      }
+      if (d < best) {
+        best = d;
+        best_j = j;
+      }
+    }
+    if (idx != nullptr) idx[i] = best_j;
+    if (dist != nullptr) dist[i] = best;
+  }
+}
+
 Tensor ExtractSegments(const Tensor& values, int64_t p, bool normalize) {
   FOCUS_CHECK_EQ(values.dim(), 2) << "ExtractSegments expects (N, T)";
   FOCUS_CHECK_GT(p, 1);
@@ -60,20 +142,10 @@ Tensor ExtractSegments(const Tensor& values, int64_t p, bool normalize) {
     const float* row = values.data() + e * t;
     for (int64_t i = 0; i < per_entity; ++i) {
       float* dst = segments.data() + (e * per_entity + i) * p;
-      std::memcpy(dst, row + i * p, static_cast<size_t>(p) * sizeof(float));
       if (normalize) {
-        double mean = 0;
-        for (int64_t j = 0; j < p; ++j) mean += dst[j];
-        mean /= p;
-        double var = 0;
-        for (int64_t j = 0; j < p; ++j) {
-          var += (dst[j] - mean) * (dst[j] - mean);
-        }
-        const float inv_std =
-            1.0f / (static_cast<float>(std::sqrt(var / p)) + 1e-4f);
-        for (int64_t j = 0; j < p; ++j) {
-          dst[j] = (dst[j] - static_cast<float>(mean)) * inv_std;
-        }
+        ZNormalize(row + i * p, p, dst);
+      } else {
+        std::memcpy(dst, row + i * p, static_cast<size_t>(p) * sizeof(float));
       }
     }
   }
@@ -97,25 +169,14 @@ std::vector<int64_t> SegmentClustering::Assign(const Tensor& segments,
   FOCUS_CHECK_EQ(prototypes.size(1), p) << "segment/prototype length mismatch";
   const int64_t n = segments.size(0), k = prototypes.size(0);
   std::vector<int64_t> assignments(static_cast<size_t>(n));
+  const PrototypeBank bank(prototypes.data(), k, p);
   // Each segment's nearest-prototype search is independent; shards write
   // disjoint assignment slices, so the result is identical for any
   // FOCUS_NUM_THREADS.
   const int64_t grain = std::max<int64_t>(1, 2048 / std::max<int64_t>(1, k));
   ParallelFor(0, n, grain, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      const float* seg = segments.data() + i * p;
-      float best = std::numeric_limits<float>::max();
-      int64_t best_j = 0;
-      for (int64_t j = 0; j < k; ++j) {
-        const float d =
-            CompositeDistance(seg, prototypes.data() + j * p, p, alpha);
-        if (d < best) {
-          best = d;
-          best_j = j;
-        }
-      }
-      assignments[static_cast<size_t>(i)] = best_j;
-    }
+    NearestPrototypes(segments.data() + i0 * p, i1 - i0, bank, alpha,
+                      assignments.data() + i0, nullptr);
   });
   return assignments;
 }
@@ -131,21 +192,22 @@ Tensor SegmentClustering::InitPrototypes(const Tensor& segments,
   // composite distance to the nearest chosen center.
   std::vector<double> min_dist(static_cast<size_t>(n),
                                std::numeric_limits<double>::max());
+  std::vector<float> dist(static_cast<size_t>(n));
   int64_t first = static_cast<int64_t>(rng.UniformInt(
       static_cast<uint64_t>(n)));
   std::memcpy(prototypes.data(), segments.data() + first * p,
               static_cast<size_t>(p) * sizeof(float));
   for (int64_t c = 1; c < k; ++c) {
-    const float* last = prototypes.data() + (c - 1) * p;
+    const PrototypeBank last(prototypes.data() + (c - 1) * p, 1, p);
     // Distance updates are per-segment independent; the probability mass
     // `total` is summed serially afterwards in index order so the sampled
     // seeding is identical for any FOCUS_NUM_THREADS.
     ParallelFor(0, n, 512, [&](int64_t i0, int64_t i1) {
+      NearestPrototypes(segments.data() + i0 * p, i1 - i0, last, alpha,
+                        nullptr, dist.data() + i0);
       for (int64_t i = i0; i < i1; ++i) {
-        const double d =
-            CompositeDistance(segments.data() + i * p, last, p, alpha);
-        min_dist[static_cast<size_t>(i)] =
-            std::min(min_dist[static_cast<size_t>(i)], d);
+        const size_t si = static_cast<size_t>(i);
+        min_dist[si] = std::min(min_dist[si], static_cast<double>(dist[si]));
       }
     });
     double total = 0;
@@ -394,34 +456,16 @@ Tensor ApproximateSeries(const Tensor& series, const Tensor& prototypes,
   const int64_t segments = series.numel() / p;
   FOCUS_CHECK_GT(segments, 0);
   Tensor out = Tensor::Zeros({segments * p});
+  const PrototypeBank bank(prototypes.data(), prototypes.size(0), p);
+  std::vector<float> shape(static_cast<size_t>(p));
   for (int64_t i = 0; i < segments; ++i) {
-    const float* seg = series.data() + i * p;
-    // Local statistics of the raw segment (paper: "each prototype adjusted
-    // to maintain the original mean and standard deviation").
-    double mean = 0;
-    for (int64_t d = 0; d < p; ++d) mean += seg[d];
-    mean /= p;
-    double var = 0;
-    for (int64_t d = 0; d < p; ++d) var += (seg[d] - mean) * (seg[d] - mean);
-    const double std = std::sqrt(var / p);
-
-    // Assign in shape space.
-    std::vector<float> shape(static_cast<size_t>(p));
-    const float inv_std = 1.0f / (static_cast<float>(std) + 1e-4f);
-    for (int64_t d = 0; d < p; ++d) {
-      shape[static_cast<size_t>(d)] =
-          (seg[d] - static_cast<float>(mean)) * inv_std;
-    }
-    float best = std::numeric_limits<float>::max();
+    // Assign in shape space, keeping the raw segment's local statistics
+    // (paper: "each prototype adjusted to maintain the original mean and
+    // standard deviation").
+    const SegmentMoments local =
+        ZNormalize(series.data() + i * p, p, shape.data());
     int64_t best_j = 0;
-    for (int64_t j = 0; j < prototypes.size(0); ++j) {
-      const float d = CompositeDistance(shape.data(),
-                                        prototypes.data() + j * p, p, alpha);
-      if (d < best) {
-        best = d;
-        best_j = j;
-      }
-    }
+    NearestPrototypes(shape.data(), 1, bank, alpha, &best_j, nullptr);
     // Rescale the prototype back to the local mean/std.
     const float* proto = prototypes.data() + best_j * p;
     double pm = 0;
@@ -432,7 +476,7 @@ Tensor ApproximateSeries(const Tensor& series, const Tensor& prototypes,
     const double pstd = std::sqrt(pv / p) + 1e-8;
     for (int64_t d = 0; d < p; ++d) {
       out.data()[i * p + d] = static_cast<float>(
-          mean + (proto[d] - pm) / pstd * std);
+          local.mean + (proto[d] - pm) / pstd * local.std);
     }
   }
   return out;
@@ -465,9 +509,11 @@ StatusOr<Tensor> LoadPrototypes(const std::string& path) {
     std::fclose(f);
     return Status::Corruption("bad prototype file magic in " + path);
   }
+  // k and p come from the file: bound p by the cap divided by k, since
+  // the product itself can overflow.
   if (std::fread(&k, sizeof(k), 1, f) != 1 ||
       std::fread(&p, sizeof(p), 1, f) != 1 || k <= 0 || p <= 0 ||
-      k * p > (int64_t{1} << 30)) {
+      p > (int64_t{1} << 30) / k) {
     std::fclose(f);
     return Status::Corruption("bad prototype header in " + path);
   }

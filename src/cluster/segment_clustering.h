@@ -13,6 +13,11 @@
 // Segments are z-normalized into shape space before clustering by default;
 // the paper's Fig. 11 re-scales prototypes by local mean/std, implying
 // shape-space prototypes (see DESIGN.md Sec. 3).
+//
+// Eq. 6 has one implementation, NearestPrototypes over a PrototypeBank. It
+// serves the clustering's assignment sweeps and k-means++ seeding, the
+// Fig. 11 approximation, and ProtoAttn's online token assignment
+// (Algorithm 2), so Algorithms 1 and 2 share one distance.
 #ifndef FOCUS_CLUSTER_SEGMENT_CLUSTERING_H_
 #define FOCUS_CLUSTER_SEGMENT_CLUSTERING_H_
 
@@ -47,9 +52,44 @@ struct ClusteringConfig {
 // either vector is (numerically) constant.
 float PearsonCorrelation(const float* a, const float* b, int64_t n);
 
-// Composite Eq. 6 distance between a segment and a prototype.
+// Composite Eq. 6 distance between a segment and a prototype: the
+// reference definition, evaluated pair by pair in double precision. The
+// sweeps use NearestPrototypes instead.
 float CompositeDistance(const float* segment, const float* prototype,
                         int64_t p, float alpha);
+
+// Mean and population standard deviation of a segment.
+struct SegmentMoments {
+  double mean = 0.0;
+  double std = 0.0;
+};
+
+// Writes the z-normalized segment (x - mean) / (std + 1e-4) to `dst`, which
+// may alias `src`, and returns the moments it used.
+SegmentMoments ZNormalize(const float* src, int64_t p, float* dst);
+
+// Eq. 6 statistics of a prototype bank, computed once per bank: the
+// centered rows c - mean(c), each row's mean and var = sum (c - mean)^2.
+struct PrototypeBank {
+  PrototypeBank(const float* rows, int64_t k, int64_t p);
+
+  int64_t k = 0, p = 0;
+  std::vector<float> centered;  // (k, p)
+  std::vector<double> mean;     // (k)
+  std::vector<float> var;       // (k)
+};
+
+// Nearest prototype under Eq. 6 for each of the `n` length-p `rows`. Each
+// row is centered once; every (row, prototype) pair then costs one
+// simd::Kernels().dot of the centered vectors, x = t~ . c~, and
+//   dist = var_t + var_c - 2x + p (m_t - m_c)^2 + alpha (1 - corr),
+//   corr = x / sqrt(var_t var_c)   (0 when either row is constant).
+// The centered form stays accurate on segments far from zero mean. Ties go
+// to the lower index. Writes the index to `idx[i]` and the distance to
+// `dist[i]`; either pointer may be null. Serial; callers shard rows.
+void NearestPrototypes(const float* rows, int64_t n,
+                       const PrototypeBank& bank, float alpha, int64_t* idx,
+                       float* dist);
 
 // Cuts (N, T) values into non-overlapping length-p segments, row-major by
 // entity then time: segment index = e * (T/p) + i. Remainder steps beyond

@@ -31,10 +31,7 @@ QuantizedPrototypeBank QuantizePrototypeBank(const Tensor& prototypes) {
   bank.q.resize(static_cast<size_t>(bank.k * bank.p));
   bank.scale.resize(static_cast<size_t>(bank.k));
   bank.zero_point.resize(static_cast<size_t>(bank.k));
-  bank.row_sum_q.resize(static_cast<size_t>(bank.k));
-  bank.sq_norm.resize(static_cast<size_t>(bank.k));
-  bank.mean.resize(static_cast<size_t>(bank.k));
-  bank.var.resize(static_cast<size_t>(bank.k));
+  bank.dequantized = Tensor::Empty({bank.k, bank.p});
   for (int64_t j = 0; j < bank.k; ++j) {
     const float* row = prototypes.data() + j * bank.p;
     float lo = row[0], hi = row[0];
@@ -53,26 +50,16 @@ QuantizedPrototypeBank QuantizePrototypeBank(const Tensor& prototypes) {
       scale = std::max(std::fabs(lo), 1e-8f) / 127.0f;
     }
     int8_t* q = bank.q.data() + j * bank.p;
-    int32_t sum_q = 0;
-    double sum = 0.0, sq = 0.0;
+    float* deq = bank.dequantized.data() + j * bank.p;
     for (int64_t d = 0; d < bank.p; ++d) {
       const int32_t qi = std::clamp(
           static_cast<int32_t>(std::lrintf(row[d] / scale)) + zp, -128,
           127);
       q[d] = static_cast<int8_t>(qi);
-      sum_q += qi;
-      const double deq = static_cast<double>(scale) * (qi - zp);
-      sum += deq;
-      sq += deq * deq;
+      deq[d] = scale * static_cast<float>(qi - zp);
     }
-    const double mean = sum / static_cast<double>(bank.p);
     bank.scale[static_cast<size_t>(j)] = scale;
     bank.zero_point[static_cast<size_t>(j)] = zp;
-    bank.row_sum_q[static_cast<size_t>(j)] = sum_q;
-    bank.sq_norm[static_cast<size_t>(j)] = static_cast<float>(sq);
-    bank.mean[static_cast<size_t>(j)] = static_cast<float>(mean);
-    bank.var[static_cast<size_t>(j)] = static_cast<float>(
-        sq - static_cast<double>(bank.p) * mean * mean);
   }
   return bank;
 }

@@ -1,7 +1,7 @@
 // Convenience driver for the offline phase: extract shape-space segments
 // from the (normalized) training region and fit prototypes (Algorithm 1),
-// plus freeze-time int8 quantization of the fitted prototype bank for the
-// FOCUS_PRECISION=int8proto inference path (DESIGN §13).
+// plus the freeze-time int8 quantize-dequantize of the fitted prototype
+// bank that the FOCUS_PRECISION=int8proto assignment searches (DESIGN §13).
 #ifndef FOCUS_CORE_OFFLINE_H_
 #define FOCUS_CORE_OFFLINE_H_
 
@@ -30,23 +30,16 @@ cluster::ClusteringResult RunOfflineClustering(const Tensor& train_values,
 
 // Per-prototype affine int8 quantization of a frozen (k, p) prototype
 // bank, computed ONCE at freeze time: q = clamp(round(x / scale) + zp,
-// -128, 127) with one (scale, zero_point) pair per prototype row, plus
-// the row statistics the int8 assignment path needs to evaluate the
-// Eq. 6 composite distance from a single int32 dot product per
-// (token, prototype) pair: sq_norm (sum of dequantized squares), mean
-// and var (Pearson terms), row_sum_q (zero-point correction of the raw
-// dot). All statistics are over the DEQUANTIZED values, so the int8
-// distance is exactly the f32 composite distance of the dequantized
-// bank against the quantized-then-dequantized token.
+// -128, 127) with one (scale, zero_point) pair per prototype row.
+// `dequantized` holds the rows scale * (q - zp) that the int8proto
+// assignment searches through the shared Eq. 6 routine
+// (cluster::NearestPrototypes).
 struct QuantizedPrototypeBank {
   int64_t k = 0, p = 0;
   std::vector<int8_t> q;            // (k, p) row-major quantized values
   std::vector<float> scale;         // (k) dequantize: scale*(q - zp)
   std::vector<int32_t> zero_point;  // (k)
-  std::vector<int32_t> row_sum_q;   // (k) sum of q over the row
-  std::vector<float> sq_norm;       // (k) sum of dequant(q)^2
-  std::vector<float> mean;          // (k) mean of dequant(q)
-  std::vector<float> var;           // (k) sum of (dequant(q) - mean)^2
+  Tensor dequantized;               // (k, p)
 };
 
 QuantizedPrototypeBank QuantizePrototypeBank(const Tensor& prototypes);

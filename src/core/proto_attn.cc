@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "cluster/segment_clustering.h"
@@ -12,98 +11,41 @@
 #include "tensor/ops.h"
 #include "tensor/plan_hooks.h"
 #include "tensor/precision.h"
-#include "tensor/simd/vec.h"
 
 namespace focus {
 namespace core {
 
 namespace {
 
-// Shared assignment sweep: z-normalize each raw segment (f32, identical
-// in every precision mode) and take the argmin composite distance over
-// the prototype bank. With `bank` set, the distance is evaluated from
-// int8 quantized operands: the token quantizes symmetrically
-// (tscale = max|t|/127, zero point 0), each (token, prototype) pair
-// costs ONE int32 dot_i8, and every Eq. 6 term — squared Euclidean and
-// Pearson — requantizes from that dot plus the bank's precomputed row
-// statistics in f32. Serial over rows; both AssignTokens and the plan
-// replay closure call exactly this function, so eager and planned
-// int8proto forwards are bit-identical.
-void AssignRows(const float* raw, int64_t rows, const float* protos,
-                int64_t k, int64_t p, float alpha,
-                const QuantizedPrototypeBank* bank, int64_t* out_idx) {
-  std::vector<float> shape(static_cast<size_t>(p));
-  std::vector<int8_t> tq(static_cast<size_t>(p));
-  const auto dot_i8 = simd::Kernels().dot_i8;
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* seg = raw + r * p;
-    // Match the offline clustering's shape space: z-normalize the token.
-    double mean = 0;
-    for (int64_t d = 0; d < p; ++d) mean += seg[d];
-    mean /= p;
-    double var = 0;
-    for (int64_t d = 0; d < p; ++d) var += (seg[d] - mean) * (seg[d] - mean);
-    const float inv_std =
-        1.0f / (static_cast<float>(std::sqrt(var / p)) + 1e-4f);
-    for (int64_t d = 0; d < p; ++d) {
-      shape[static_cast<size_t>(d)] =
-          (seg[d] - static_cast<float>(mean)) * inv_std;
-    }
-    float best = std::numeric_limits<float>::max();
-    int64_t best_j = 0;
-    if (bank == nullptr) {
-      for (int64_t j = 0; j < k; ++j) {
-        const float dist = cluster::CompositeDistance(
-            shape.data(), protos + j * p, p, alpha);
-        if (dist < best) {
-          best = dist;
-          best_j = j;
-        }
-      }
-    } else {
+// One assignment sweep serves eager forwards and plan replay in both
+// precisions: z-normalize each raw segment into the offline clustering's
+// shape space and take its nearest prototype in `bank` under Eq. 6. With
+// `int8` set, each normalized token is first rounded to its symmetric int8
+// grid (tscale = max|t|/127, zero point 0), and `bank` is the dequantized
+// int8 bank. Serial over rows, in blocks that bound the scratch buffer;
+// AssignTokens and the plan replay closure both call exactly this
+// function, so eager and planned forwards are bit-identical.
+void AssignRows(const float* raw, int64_t rows,
+                const cluster::PrototypeBank& bank, float alpha, bool int8,
+                int64_t* out_idx) {
+  constexpr int64_t kBlock = 64;
+  const int64_t p = bank.p;
+  std::vector<float> shape(static_cast<size_t>(kBlock * p));
+  for (int64_t r0 = 0; r0 < rows; r0 += kBlock) {
+    const int64_t nb = std::min(kBlock, rows - r0);
+    for (int64_t r = 0; r < nb; ++r) {
+      float* t = shape.data() + r * p;
+      cluster::ZNormalize(raw + (r0 + r) * p, p, t);
+      if (!int8) continue;
       float amax = 0.0f;
-      for (int64_t d = 0; d < p; ++d) {
-        amax = std::max(amax, std::fabs(shape[static_cast<size_t>(d)]));
-      }
+      for (int64_t d = 0; d < p; ++d) amax = std::max(amax, std::fabs(t[d]));
       const float tscale = amax > 0.0f ? amax / 127.0f : 1.0f;
-      int32_t tsum = 0;
       for (int64_t d = 0; d < p; ++d) {
-        const int32_t qi = std::clamp(
-            static_cast<int32_t>(
-                std::lrintf(shape[static_cast<size_t>(d)] / tscale)),
-            -128, 127);
-        tq[static_cast<size_t>(d)] = static_cast<int8_t>(qi);
-        tsum += qi;
-      }
-      const int32_t tsq = dot_i8(tq.data(), tq.data(), p);
-      const float sq_t = tscale * tscale * static_cast<float>(tsq);
-      const float m_t =
-          tscale * static_cast<float>(tsum) / static_cast<float>(p);
-      const float da = sq_t - static_cast<float>(p) * m_t * m_t;
-      for (int64_t j = 0; j < k; ++j) {
-        const size_t sj = static_cast<size_t>(j);
-        const int32_t dot = dot_i8(tq.data(), bank->q.data() + j * p, p);
-        // f32 requantize of the int32 accumulator: sum of t_hat*c_hat.
-        const float cross =
-            tscale * bank->scale[sj] *
-            static_cast<float>(dot - bank->zero_point[sj] * tsum);
-        float dist = sq_t + bank->sq_norm[sj] - 2.0f * cross;
-        if (alpha != 0.0f) {
-          float corr = 0.0f;
-          if (da >= 1e-12f && bank->var[sj] >= 1e-12f) {
-            corr = (cross -
-                    static_cast<float>(p) * m_t * bank->mean[sj]) /
-                   std::sqrt(da * bank->var[sj]);
-          }
-          dist += alpha * (1.0f - corr);
-        }
-        if (dist < best) {
-          best = dist;
-          best_j = j;
-        }
+        t[d] = tscale * static_cast<float>(std::lrintf(t[d] / tscale));
       }
     }
-    out_idx[r] = best_j;
+    cluster::NearestPrototypes(shape.data(), nb, bank, alpha, out_idx + r0,
+                               nullptr);
   }
 }
 
@@ -119,10 +61,14 @@ ProtoAttn::ProtoAttn(Tensor prototypes, std::shared_ptr<nn::Linear> embed,
   FOCUS_CHECK_EQ(embed_->in_features(), prototypes_.size(1))
       << "embedding input dim must equal segment length p";
   FOCUS_CHECK_EQ(embed_->out_features(), d_model);
-  // Freeze-time quantization: the bank is fixed for the module's
-  // lifetime, so its int8 image and row statistics are computed once.
-  qbank_ = std::make_shared<const QuantizedPrototypeBank>(
-      QuantizePrototypeBank(prototypes_));
+  // The bank is fixed for the module's lifetime, so the Eq. 6 statistics
+  // of the prototypes and of their int8 quantize-dequantize are computed
+  // once, here.
+  const int64_t k = prototypes_.size(0), p = prototypes_.size(1);
+  bank_ = std::make_shared<const cluster::PrototypeBank>(prototypes_.data(),
+                                                         k, p);
+  int8_bank_ = std::make_shared<const cluster::PrototypeBank>(
+      QuantizePrototypeBank(prototypes_).dequantized.data(), k, p);
   we_ = std::make_shared<nn::Linear>(d_model, d_model, rng);
   wk_ = std::make_shared<nn::Linear>(d_model, d_model, rng);
   wv_ = std::make_shared<nn::Linear>(d_model, d_model, rng);
@@ -142,13 +88,12 @@ std::vector<int64_t> ProtoAttn::AssignTokens(const Tensor& tokens_raw) const {
   const int64_t rows = tokens_raw.size(0) * tokens_raw.size(1);
   const int64_t k = prototypes_.size(0);
   std::vector<int64_t> assignments(static_cast<size_t>(rows));
-  const bool use_int8 = !GradMode::IsEnabled() &&
-                        PrecisionMode::Get() == Precision::kInt8Proto;
-  AssignRows(tokens_raw.data(), rows, prototypes_.data(), k, p, alpha_,
-             use_int8 ? qbank_.get() : nullptr, assignments.data());
+  const bool int8 = !GradMode::IsEnabled() &&
+                    PrecisionMode::Get() == Precision::kInt8Proto;
+  AssignRows(tokens_raw.data(), rows, int8 ? *int8_bank_ : *bank_, alpha_,
+             int8, assignments.data());
   // Assignment cost (counted so the FLOPs metric reflects Algorithm 2's
-  // O(l * k * p) step; the int8 path does the same multiply-add count
-  // in narrower arithmetic).
+  // O(l * k * p) step).
   FlopCounter::Add(3 * rows * k * p);
   return assignments;
 }
@@ -179,26 +124,23 @@ Tensor ProtoAttn::Forward(const Tensor& tokens_raw, const Tensor& tokens_emb) {
     // from the live token buffer — same accumulation order, same bits.
     // Member diagnostics (last_assignment_/last_attention_) are NOT
     // replayed by plans.
-    Tensor protos = prototypes_.Detach();
     const float alpha = alpha_;
-    const int64_t p = prototypes_.size(1);
     // Capture the precision-resolved sweep: a plan captured under
     // int8proto replays the int8 bank (the shared_ptr keeps it alive),
-    // any other mode replays the f32 distance. Plan::Matches() pins the
+    // any other mode replays the f32 bank. Plan::Matches() pins the
     // ambient PrecisionMode, so a plan never replays the wrong variant.
-    std::shared_ptr<const QuantizedPrototypeBank> qb =
-        (PrecisionMode::Get() == Precision::kInt8Proto) ? qbank_
-                                                        : nullptr;
+    const bool int8 = PrecisionMode::Get() == Precision::kInt8Proto;
+    std::shared_ptr<const cluster::PrototypeBank> bank =
+        int8 ? int8_bank_ : bank_;
     plan_hooks::Record(
         plan_hooks::StepKind::kOpaque, "ProtoAssign", {tokens_raw}, a,
-        [protos, alpha, b, l, k, p, qb](float* const* bufs) {
+        [bank, alpha, int8, b, l, k](float* const* bufs) {
           const float* raw = bufs[0];
           float* pa = bufs[1];
           std::fill_n(pa, b * l * k, 0.0f);
           const int64_t rows = b * l;
           std::vector<int64_t> idx(static_cast<size_t>(rows));
-          AssignRows(raw, rows, protos.data(), k, p, alpha, qb.get(),
-                     idx.data());
+          AssignRows(raw, rows, *bank, alpha, int8, idx.data());
           for (int64_t r = 0; r < rows; ++r) {
             pa[r * k + idx[static_cast<size_t>(r)]] = 1.0f;
           }

@@ -46,21 +46,22 @@ class ProtoAttn : public nn::Module {
   const Tensor& last_assignment() const { return last_assignment_; }
   const Tensor& last_attention() const { return last_attention_; }
 
-  // Hard assignment indices for a (B', l, p) raw-token tensor. Under
-  // FOCUS_PRECISION=int8proto (and grad mode off) the nearest-prototype
-  // search runs against the frozen bank's int8 quantization with int32
-  // accumulation and f32 requantize; training and the other precision
-  // modes use the full-precision composite distance.
+  // Hard assignment indices for a (B', l, p) raw-token tensor: each
+  // z-normalized token's nearest prototype under Eq. 6
+  // (cluster::NearestPrototypes). Under FOCUS_PRECISION=int8proto (and grad
+  // mode off) the token and the bank are both rounded to int8 grids and
+  // dequantized first; the search itself is the same f32 routine.
   std::vector<int64_t> AssignTokens(const Tensor& tokens_raw) const;
 
   int64_t num_prototypes() const { return prototypes_.size(0); }
 
  private:
   Tensor prototypes_;  // (k, p), constant
-  // int8 quantization of the frozen bank, computed once at construction
-  // ("freeze time", core/offline.h). shared_ptr so plan-capture closures
-  // keep it alive past the module (k*p int8 + O(k) stats — tiny).
-  std::shared_ptr<const QuantizedPrototypeBank> qbank_;
+  // Eq. 6 statistics of the frozen bank and of its int8
+  // quantize-dequantize (core/offline.h), built once at construction.
+  // shared_ptr so plan-capture closures keep them alive past the module.
+  std::shared_ptr<const cluster::PrototypeBank> bank_;
+  std::shared_ptr<const cluster::PrototypeBank> int8_bank_;
   std::shared_ptr<nn::Linear> embed_;
   int64_t d_model_;
   float alpha_;

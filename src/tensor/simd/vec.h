@@ -122,11 +122,6 @@ struct KernelTable {
                                  int64_t n);
   void (*mul_scalar_softmax_rows)(const float* x, float s, float* y,
                                   int64_t rows, int64_t n);
-
-  // Exact int32 dot product of two int8 vectors (ProtoAttn int8
-  // token-assignment path). Integer math — backend-invariant by
-  // construction.
-  int32_t (*dot_i8)(const int8_t* a, const int8_t* b, int64_t n);
 };
 
 // The active kernel table. First call resolves the backend (cheap

@@ -4,9 +4,11 @@
 // persistence and series approximation (Fig. 11).
 #include "cluster/segment_clustering.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -170,6 +172,36 @@ TEST(SegmentClusteringTest, AssignmentIsOptimalUnderCompositeDistance) {
   }
 }
 
+TEST(SegmentClusteringTest, AssignmentIsOptimalOnUnnormalizedSegments) {
+  // Raw segments far from zero mean: a common offset of 1e3 with unit-scale
+  // variation. Expanding |t - c|^2 as |t|^2 + |c|^2 - 2 t.c in f32 loses
+  // most significant digits of the distance here; the centered Eq. 6
+  // routine must still pick the brute-force minimum.
+  Rng rng(41);
+  const int64_t n = 200, k = 8, p = 16;
+  const float alpha = 0.3f;
+  Tensor segs = Tensor::Randn({n, p}, rng);
+  Tensor protos = Tensor::Randn({k, p}, rng);
+  for (Tensor* t : {&segs, &protos}) {
+    for (int64_t i = 0; i < t->numel(); ++i) t->data()[i] += 1e3f;
+  }
+  const std::vector<int64_t> assignments =
+      SegmentClustering::Assign(segs, protos, alpha);
+  for (int64_t i = 0; i < n; ++i) {
+    const float* seg = segs.data() + i * p;
+    float best = CompositeDistance(seg, protos.data(), p, alpha);
+    for (int64_t j = 1; j < k; ++j) {
+      best = std::min(best,
+                      CompositeDistance(seg, protos.data() + j * p, p, alpha));
+    }
+    const float assigned = CompositeDistance(
+        seg, protos.data() + assignments[static_cast<size_t>(i)] * p, p,
+        alpha);
+    EXPECT_LE(assigned, best + 1e-5f * std::max(1.0f, best))
+        << "segment " << i;
+  }
+}
+
 TEST(SegmentClusteringTest, DeterministicPerSeed) {
   Rng rng(7);
   Tensor segs = MakeSyntheticSegments(20, 8, rng);
@@ -252,6 +284,18 @@ TEST(SegmentClusteringTest, LoadRejectsCorruptFiles) {
   auto loaded = cluster::LoadPrototypes(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
+
+  // A header whose k * p overflows int64 must be rejected, not wrapped
+  // into a small allocation.
+  f = std::fopen(path.c_str(), "wb");
+  const int64_t huge = int64_t{1} << 32;
+  std::fwrite("FOCUSPRT", 1, 8, f);
+  std::fwrite(&huge, sizeof(huge), 1, f);
+  std::fwrite(&huge, sizeof(huge), 1, f);
+  std::fclose(f);
+  auto overflow = cluster::LoadPrototypes(path);
+  EXPECT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().code(), Status::Code::kCorruption);
 
   auto missing = cluster::LoadPrototypes("/nonexistent/path/x.bin");
   EXPECT_FALSE(missing.ok());

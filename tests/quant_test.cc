@@ -1,7 +1,8 @@
 // int8proto inference contracts (DESIGN §13):
-//   * int8 prototype bank — freeze-time quantization statistics agree
-//     with a brute-force dequantized reference; assignments are
-//     backend-invariant and agree with f32 on separated prototypes.
+//   * int8 prototype bank — the freeze-time dequantized rows stay within
+//     half a quantization step, and their Eq. 6 bank statistics agree with
+//     a double-precision reference; assignments are backend-invariant and
+//     agree with f32 on separated prototypes.
 //   * assignment only — int8proto changes which prototype a token is
 //     assigned and nothing else: when every assignment agrees with f32,
 //     the eager and planned forecasts are the f32 forecast, bit for bit.
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/segment_clustering.h"
 #include "core/focus_model.h"
 #include "core/offline.h"
 #include "core/proto_attn.h"
@@ -76,35 +78,52 @@ Tensor MakeSeparatedPrototypes(int64_t k, int64_t p, uint64_t seed) {
   return protos;
 }
 
-TEST(QuantBankTest, StatisticsMatchDequantizedReference) {
+TEST(QuantBankTest, DequantizedRowsWithinHalfStep) {
   Tensor protos = MakeSeparatedPrototypes(6, 16, 21);
   const core::QuantizedPrototypeBank bank =
       core::QuantizePrototypeBank(protos);
   ASSERT_EQ(bank.k, 6);
   ASSERT_EQ(bank.p, 16);
+  ASSERT_EQ(bank.dequantized.shape(), protos.shape());
   for (int64_t j = 0; j < bank.k; ++j) {
     const size_t sj = static_cast<size_t>(j);
-    int32_t row_sum_q = 0;
-    double sq = 0.0, sum = 0.0;
-    float max_err = 0.0f;
     for (int64_t d = 0; d < bank.p; ++d) {
       const int8_t q = bank.q[static_cast<size_t>(j * bank.p + d)];
-      const float deq =
-          bank.scale[sj] * static_cast<float>(q - bank.zero_point[sj]);
-      const float orig = protos.data()[j * bank.p + d];
-      max_err = std::max(max_err, std::fabs(deq - orig));
-      row_sum_q += q;
-      sq += static_cast<double>(deq) * deq;
-      sum += deq;
+      const float deq = bank.dequantized.data()[j * bank.p + d];
+      EXPECT_EQ(deq,
+                bank.scale[sj] * static_cast<float>(q - bank.zero_point[sj]))
+          << "row " << j;
+      // Affine quantization error is bounded by half a step.
+      EXPECT_LE(std::fabs(deq - protos.data()[j * bank.p + d]),
+                0.5f * bank.scale[sj] + 1e-6f)
+          << "row " << j;
     }
-    // Affine quantization error is bounded by half a step.
-    EXPECT_LE(max_err, 0.5f * bank.scale[sj] + 1e-6f) << "row " << j;
-    EXPECT_EQ(bank.row_sum_q[sj], row_sum_q) << "row " << j;
-    const float mean = static_cast<float>(sum) / bank.p;
-    EXPECT_FLOAT_EQ(bank.sq_norm[sj], static_cast<float>(sq));
-    EXPECT_FLOAT_EQ(bank.mean[sj], mean);
-    EXPECT_FLOAT_EQ(bank.var[sj],
-                    static_cast<float>(sq) - bank.p * mean * mean);
+  }
+}
+
+TEST(QuantBankTest, PrototypeBankStatisticsMatchDoubleReference) {
+  const Tensor rows =
+      core::QuantizePrototypeBank(MakeSeparatedPrototypes(6, 16, 21))
+          .dequantized;
+  const int64_t k = rows.size(0), p = rows.size(1);
+  const cluster::PrototypeBank bank(rows.data(), k, p);
+  ASSERT_EQ(bank.k, k);
+  ASSERT_EQ(bank.p, p);
+  for (int64_t j = 0; j < k; ++j) {
+    const size_t sj = static_cast<size_t>(j);
+    const float* row = rows.data() + j * p;
+    double mean = 0.0;
+    for (int64_t d = 0; d < p; ++d) mean += row[d];
+    mean /= static_cast<double>(p);
+    double var = 0.0;
+    for (int64_t d = 0; d < p; ++d) {
+      const double c = row[d] - mean;
+      var += c * c;
+      EXPECT_NEAR(bank.centered[static_cast<size_t>(j * p + d)], c, 1e-6)
+          << "row " << j;
+    }
+    EXPECT_NEAR(bank.mean[sj], mean, 1e-12) << "row " << j;
+    EXPECT_NEAR(bank.var[sj], var, 1e-5 * var) << "row " << j;
   }
 }
 
@@ -135,7 +154,7 @@ TEST(Int8AssignTest, AgreesWithF32OnSeparatedPrototypes) {
   Tensor protos = MakeSeparatedPrototypes(k, p, 22);
   auto attn = MakeAttn(protos, 23);
   // Tokens are noisy copies of the prototypes: the argmin is clear-cut,
-  // so requantization error cannot flip it.
+  // so quantization error cannot flip it.
   Tensor tokens = Tensor::Zeros({2, k, p});
   Rng rng(24);
   Tensor noise = Tensor::Randn({2, k, p}, rng);
@@ -248,7 +267,7 @@ TEST(QuantServeTest, PerTenantPrecisionBitIdenticalToEager) {
 
 // A window whose every patch is a noisy copy of one separated
 // prototype: each token's nearest prototype is clear-cut, so int8
-// requantization cannot flip any assignment.
+// quantization cannot flip any assignment.
 Tensor PrototypeWindow(const Tensor& protos, uint64_t seed) {
   const int64_t k = protos.size(0);
   Tensor window = Tensor::Zeros({kEntities, kLookback});

@@ -294,30 +294,6 @@ TEST_F(SimdBitIdentityTest, PublicOpsForwardBackward) {
   }
 }
 
-// --- int8 kernels ---------------------------------------------------------
-
-TEST_F(SimdBitIdentityTest, DotI8ExactAcrossBackends) {
-  for (int64_t n : kSizes) {
-    std::vector<int8_t> a(static_cast<size_t>(n));
-    std::vector<int8_t> b(static_cast<size_t>(n));
-    int32_t want = 0;
-    for (int64_t i = 0; i < n; ++i) {
-      a[static_cast<size_t>(i)] =
-          static_cast<int8_t>((i * 37 + 11) % 255 - 127);
-      b[static_cast<size_t>(i)] =
-          static_cast<int8_t>((i * 53 + 5) % 255 - 127);
-      want += static_cast<int32_t>(a[static_cast<size_t>(i)]) *
-              static_cast<int32_t>(b[static_cast<size_t>(i)]);
-    }
-    for (simd::Backend backend :
-         {simd::Backend::kScalar, simd::Backend::kAvx2}) {
-      ASSERT_TRUE(simd::SetBackend(backend));
-      EXPECT_EQ(want, simd::Kernels().dot_i8(a.data(), b.data(), n))
-          << "n=" << n;
-    }
-  }
-}
-
 // --- accuracy ---------------------------------------------------------------
 
 // Maps float bits to a monotonic integer line so ULP distance is a
