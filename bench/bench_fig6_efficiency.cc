@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
 
   // Planned-vs-eager single-thread forecast latency on the same fig6
   // configs: eager is the inference-mode tape-free path, planned replays
-  // a compiled execution plan (static slab, fused sweeps, zero
+  // a compiled execution plan (static slab, folded constants, zero
   // allocator calls). Both are best-of-3 after one warm-up; single
   // thread isolates the plan's overhead removal from pool scaling.
   const std::string plan_json = flags.GetString("plan-json", "");

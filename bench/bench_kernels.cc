@@ -323,9 +323,8 @@ BENCHMARK(BM_TrainStepLoop)->Arg(0)->Arg(512)
 #ifdef FOCUS_BENCH_HAVE_PLAN
 // Planned vs eager inference on a compact FOCUS configuration — the
 // execution-plan layer's end-to-end effect (no tape bookkeeping, zero
-// allocator calls, folded constant subgraphs, fused elementwise
-// sweeps). The planned numbers are steady state: capture + compile
-// happen once before the timed loop.
+// allocator calls, folded constant subgraphs). The planned numbers are
+// steady state: capture + compile happen once before the timed loop.
 core::FocusModel MakeBenchFocusModel(int64_t lookback) {
   core::FocusConfig cfg;
   cfg.lookback = lookback;
@@ -372,34 +371,6 @@ void BM_FocusForecastPlanned(benchmark::State& state) {
 }
 BENCHMARK(BM_FocusForecastPlanned)->Arg(96)->Arg(512)
     ->Unit(benchmark::kMicrosecond);
-
-// Fusion in isolation: the same captured elementwise chain
-// (add+gelu, mul_scalar+sigmoid) replayed with fusion off (Arg 0)
-// and on (Arg 1).
-void BM_ElemChainPlanned(benchmark::State& state) {
-  const bool fuse = state.range(0) != 0;
-  const int64_t n = 1 << 16;
-  Rng rng(12);
-  Tensor c = Tensor::Randn({n}, rng);
-  Tensor x = Tensor::Randn({n}, rng);
-  auto fn = [&](const Tensor& in) {
-    return Sigmoid(MulScalar(Gelu(Add(in, c)), 0.7f));
-  };
-  plan::Options opts;
-  opts.fuse = fuse;
-  auto compiled = plan::ExecutionPlan::Capture(fn, x, opts);
-  if (compiled == nullptr) {
-    state.SkipWithError("plan capture failed");
-    return;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(compiled->Run(x).data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.counters["fused"] = static_cast<double>(compiled->stats().fused);
-  ReportThreads(state);
-}
-BENCHMARK(BM_ElemChainPlanned)->Arg(0)->Arg(1);
 #endif  // FOCUS_BENCH_HAVE_PLAN
 
 #ifdef FOCUS_BENCH_HAVE_REPORT
@@ -472,7 +443,7 @@ int main(int argc, char** argv) {
       "BM_LayerNormLastDim/3072/64$|BM_SoftmaxLastDim/128$|"
       "BM_ElementwiseExp/65536$|BM_ProtoAttnForward/64$|"
       "BM_NearestPrototypeAssignment/1024$|BM_FocusForecastEager/96$|"
-      "BM_FocusForecastPlanned/96$|BM_ElemChainPlanned/1$";
+      "BM_FocusForecastPlanned/96$";
   static std::string smoke_min_time = "--benchmark_min_time=0.05";
   if (smoke) {
     args.push_back(smoke_filter.data());

@@ -107,8 +107,8 @@ Tensor InformerLite::Forward(const Tensor& x) {
   // --- Sparse attention. --------------------------------------------------
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
   Tensor q_active = IndexSelect(q, 1, active);              // (R, u, d)
-  Tensor attn = SoftmaxLastDim(
-      MulScalar(MatMul(q_active, Transpose(k, 1, 2)), scale));
+  Tensor attn =
+      SoftmaxLastDim(MatMul(q_active, Transpose(k, 1, 2)), scale);
   Tensor context = MatMul(attn, v);                         // (R, u, d)
 
   // Lazy queries output mean(V); active rows are scattered back via a

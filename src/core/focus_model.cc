@@ -152,10 +152,8 @@ Tensor FocusModel::Fuse(const Tensor& h_t, const Tensor& h_e) {
     const float scale = 1.0f / std::sqrt(static_cast<float>(d));
     Tensor q_t = MatMul(readout_proj_t_, h_t);  // (bn, m, d)
     Tensor q_e = MatMul(readout_proj_e_, h_e);
-    Tensor a_t = SoftmaxLastDim(
-        MulScalar(MatMul(q_t, Transpose(h_t, 1, 2)), scale));
-    Tensor a_e = SoftmaxLastDim(
-        MulScalar(MatMul(q_e, Transpose(h_e, 1, 2)), scale));
+    Tensor a_t = SoftmaxLastDim(MatMul(q_t, Transpose(h_t, 1, 2)), scale);
+    Tensor a_e = SoftmaxLastDim(MatMul(q_e, Transpose(h_e, 1, 2)), scale);
     Tensor f_t = MatMul(a_t, h_t);  // (bn, m, d)
     Tensor f_e = MatMul(a_e, h_e);  // (bn, m, d)
     // Gate (Algorithm 4 l.5-7).

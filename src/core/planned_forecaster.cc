@@ -8,9 +8,8 @@
 namespace focus {
 namespace core {
 
-PlannedForecaster::PlannedForecaster(ForecastModel* model,
-                                     plan::Options opts)
-    : model_(model), opts_(opts) {
+PlannedForecaster::PlannedForecaster(ForecastModel* model)
+    : model_(model) {
   FOCUS_CHECK(model_ != nullptr);
 }
 
@@ -38,8 +37,7 @@ bool PlannedForecaster::KnownBadShape(const Shape& shape) {
 plan::ExecutionPlan* PlannedForecaster::CaptureShape(const Shape& shape,
                                                      const Tensor& example) {
   auto plan = plan::ExecutionPlan::Capture(
-      [this](const Tensor& in) { return model_->Forward(in); }, example,
-      opts_);
+      [this](const Tensor& in) { return model_->Forward(in); }, example);
   if (plan == nullptr) {
     failed_shapes_.emplace_back(shape, simd::ActiveBackend());
     return nullptr;

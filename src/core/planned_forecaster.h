@@ -3,7 +3,7 @@
 // Wraps any ForecastModel with a per-shape cache of compiled execution
 // plans (src/plan): the first Forward() for an input shape captures and
 // compiles a plan; subsequent calls replay it (zero tensor-allocator
-// calls, fused kernels, no tape). Shapes whose capture failed — the
+// calls, no tape). Shapes whose capture failed — the
 // model used an op without a capture hook — are remembered and served
 // eagerly (under InferenceModeGuard) without re-trying every call. A
 // SIMD backend switch invalidates cached plans via the plan guard; the
@@ -39,8 +39,7 @@ namespace core {
 
 class PlannedForecaster {
  public:
-  explicit PlannedForecaster(ForecastModel* model,
-                             plan::Options opts = {});
+  explicit PlannedForecaster(ForecastModel* model);
 
   // Planned when a plan exists or can be captured for x's shape;
   // eager (inference-mode) otherwise.
@@ -75,7 +74,6 @@ class PlannedForecaster {
   bool KnownBadShape(const Shape& shape);
 
   ForecastModel* model_;  // not owned; must outlive the wrapper
-  plan::Options opts_;
   std::vector<std::pair<Shape, std::unique_ptr<plan::ExecutionPlan>>>
       plans_;
   // Shapes whose capture failed, with the SIMD backend active at the

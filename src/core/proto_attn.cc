@@ -133,7 +133,7 @@ Tensor ProtoAttn::Forward(const Tensor& tokens_raw, const Tensor& tokens_emb) {
     std::shared_ptr<const cluster::PrototypeBank> bank =
         int8 ? int8_bank_ : bank_;
     plan_hooks::Record(
-        plan_hooks::StepKind::kOpaque, "ProtoAssign", {tokens_raw}, a,
+        "ProtoAssign", {tokens_raw}, a,
         [bank, alpha, int8, b, l, k](float* const* bufs) {
           const float* raw = bufs[0];
           float* pa = bufs[1];
@@ -155,8 +155,8 @@ Tensor ProtoAttn::Forward(const Tensor& tokens_raw, const Tensor& tokens_emb) {
 
   // Attention of prototype queries over tokens (Eq. 16): (b, k, l).
   const float scale = 1.0f / std::sqrt(static_cast<float>(d_model_));
-  Tensor scores = MulScalar(MatMul(c_q, Transpose(key, 1, 2)), scale);
-  Tensor attn = SoftmaxLastDim(scores);
+  Tensor scores = MatMul(c_q, Transpose(key, 1, 2));
+  Tensor attn = SoftmaxLastDim(scores, scale);
   last_attention_ = attn.Detach();
 
   // Per-prototype context, then scatter back to tokens via A (Eq. 17-18).

@@ -1,9 +1,12 @@
 #include "data/io.h"
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 namespace focus {
@@ -24,6 +27,19 @@ std::map<std::string, std::string> ParseMeta(const std::string& line) {
     }
   }
   return meta;
+}
+
+// Parses a split fraction: the whole string must be one finite number in
+// (0, 1). Returns false otherwise (std::stod would throw instead).
+bool ParseFraction(const std::string& text, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(v) ||
+      v <= 0.0 || v >= 1.0) {
+    return false;
+  }
+  *out = v;
+  return true;
 }
 
 }  // namespace
@@ -73,8 +89,17 @@ StatusOr<TimeSeriesDataset> LoadCsv(const std::string& path) {
     if (meta.count("name")) dataset.name = meta["name"];
     if (meta.count("domain")) dataset.domain = meta["domain"];
     if (meta.count("frequency")) dataset.frequency = meta["frequency"];
-    if (meta.count("train")) dataset.train_fraction = std::stod(meta["train"]);
-    if (meta.count("val")) dataset.val_fraction = std::stod(meta["val"]);
+    for (const auto& [key, field] :
+         {std::pair{"train", &dataset.train_fraction},
+          std::pair{"val", &dataset.val_fraction}}) {
+      if (meta.count(key) && !ParseFraction(meta[key], field)) {
+        return Status::Corruption("bad " + std::string(key) + "='" +
+                                  meta[key] + "' in " + path);
+      }
+    }
+    if (dataset.train_fraction + dataset.val_fraction >= 1.0) {
+      return Status::Corruption("train + val must be < 1 in " + path);
+    }
     if (!std::getline(in, line)) {
       return Status::Corruption("missing header in " + path);
     }

@@ -53,8 +53,8 @@ Tensor MultiheadSelfAttention::CrossForward(const Tensor& q_in,
   Tensor v = SplitHeads(wv_->Forward(kv_in));
 
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  Tensor scores = MulScalar(MatMul(q, Transpose(k, 1, 2)), scale);
-  Tensor attn = SoftmaxLastDim(scores);        // (B*H, Tq, Tk)
+  Tensor scores = MatMul(q, Transpose(k, 1, 2));
+  Tensor attn = SoftmaxLastDim(scores, scale);  // (B*H, Tq, Tk)
   Tensor out = MatMul(attn, v);                // (B*H, Tq, hd)
   return wo_->Forward(MergeHeads(out, b));
 }

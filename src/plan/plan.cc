@@ -1,5 +1,5 @@
 // ExecutionPlan implementation: recorder sink, constant folding,
-// elementwise fusion, lifetime-packed slab layout, replay loop.
+// lifetime-packed slab layout, replay loop.
 //
 // Value identity during recording is "current value for buffer pointer":
 // the allocator recycles buffers, so a raw pointer can name different
@@ -13,11 +13,9 @@
 // the producer's buffer and thus resolve to the producer's value.
 #include "plan/plan.h"
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "obs/trace.h"
-#include "parallel/thread_pool.h"
 #include "tensor/flops.h"
 #include "utils/logging.h"
 
@@ -42,14 +40,11 @@ struct Value {
 };
 
 struct Step {
-  plan_hooks::StepKind kind = plan_hooks::StepKind::kOpaque;
   std::string name;
   std::vector<int> inputs;
   int output = -1;
   std::vector<int> scratch;
   plan_hooks::StepFn fn;
-  float scalar = 0.0f;
-  int64_t rows = 0, inner = 0;
 };
 
 class Recorder : public plan_hooks::CaptureSink {
@@ -66,11 +61,7 @@ class Recorder : public plan_hooks::CaptureSink {
   void OnStep(plan_hooks::StepRecord rec) override {
     if (failed_) return;
     Step step;
-    step.kind = rec.kind;
     step.name = rec.name;
-    step.scalar = rec.scalar;
-    step.rows = rec.rows;
-    step.inner = rec.inner;
     step.fn = std::move(rec.fn);
     for (const Tensor& in : rec.inputs) {
       step.inputs.push_back(LookupOrPin(in));
@@ -160,84 +151,6 @@ class SinkScope {
   ~SinkScope() { plan_hooks::SetCaptureSink(nullptr); }
 };
 
-// Use count of `id` as a step input (fusion legality needs "exactly
-// one consumer").
-int CountUses(const std::vector<Step>& steps, int id) {
-  int uses = 0;
-  for (const Step& s : steps) {
-    for (int in : s.inputs) {
-      if (in == id) ++uses;
-    }
-  }
-  return uses;
-}
-
-// Fusion rule table: producer/consumer StepKind pair -> fused step.
-// Returns false when the pair has no rule. All rules are elementwise
-// (or row-elementwise) and lane-order preserving: the fused kernel runs
-// the same float32 op sequence with the intermediate kept in registers,
-// and a float32 store/load round-trip is exact, so bits cannot change.
-bool BuildFusedStep(const Step& prod, const Step& cons, int64_t out_numel,
-                    Step* fused) {
-  using plan_hooks::StepKind;
-  const simd::KernelTable& kt = simd::Kernels();
-  const float s = prod.scalar;
-  const int64_t n = out_numel;
-  if (prod.kind == StepKind::kAdd && cons.kind == StepKind::kGelu) {
-    const auto k = kt.add_gelu_fwd;
-    fused->name = "fused:Add+Gelu";
-    fused->inputs = prod.inputs;
-    fused->fn = [k, n](float* const* bufs) {
-      ParallelFor(0, n, plan_hooks::kElemGrain,
-                  [&](int64_t i0, int64_t i1) {
-                    k(bufs[0] + i0, bufs[1] + i0, bufs[2] + i0, i1 - i0);
-                  });
-    };
-    return true;
-  }
-  if (prod.kind == StepKind::kAddScalar && cons.kind == StepKind::kSqrt) {
-    const auto k = kt.add_scalar_sqrt_fwd;
-    fused->name = "fused:AddScalar+Sqrt";
-    fused->inputs = prod.inputs;
-    fused->fn = [k, s, n](float* const* bufs) {
-      ParallelFor(0, n, plan_hooks::kElemGrain,
-                  [&](int64_t i0, int64_t i1) {
-                    k(bufs[0] + i0, s, bufs[1] + i0, i1 - i0);
-                  });
-    };
-    return true;
-  }
-  if (prod.kind == StepKind::kMulScalar &&
-      cons.kind == StepKind::kSigmoid) {
-    const auto k = kt.mul_scalar_sigmoid_fwd;
-    fused->name = "fused:MulScalar+Sigmoid";
-    fused->inputs = prod.inputs;
-    fused->fn = [k, s, n](float* const* bufs) {
-      ParallelFor(0, n, plan_hooks::kElemGrain,
-                  [&](int64_t i0, int64_t i1) {
-                    k(bufs[0] + i0, s, bufs[1] + i0, i1 - i0);
-                  });
-    };
-    return true;
-  }
-  if (prod.kind == StepKind::kMulScalar &&
-      cons.kind == StepKind::kSoftmaxRows) {
-    const auto k = kt.mul_scalar_softmax_rows;
-    const int64_t rows = cons.rows, inner = cons.inner;
-    fused->name = "fused:MulScalar+Softmax";
-    fused->inputs = prod.inputs;
-    fused->fn = [k, s, rows, inner](float* const* bufs) {
-      ParallelFor(0, rows, plan_hooks::RowGrain(inner),
-                  [&](int64_t r0, int64_t r1) {
-                    k(bufs[0] + r0 * inner, s, bufs[1] + r0 * inner,
-                      r1 - r0, inner);
-                  });
-    };
-    return true;
-  }
-  return false;
-}
-
 // First-fit free-list over slab extents (offsets/sizes in floats).
 class SlabPacker {
  public:
@@ -288,7 +201,7 @@ class SlabPacker {
 }  // namespace
 
 std::unique_ptr<ExecutionPlan> ExecutionPlan::Capture(
-    const ForwardFn& fn, const Tensor& example, const Options& opts) {
+    const ForwardFn& fn, const Tensor& example) {
   FOCUS_CHECK(example.defined()) << "plan capture needs an example input";
   const simd::KernelTable* backend = &simd::Kernels();
 
@@ -329,68 +242,37 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::Capture(
   // same bytes every run; execute it now into a pinned buffer and drop
   // it from the program. One forward pass suffices — folding a step can
   // only enable folding of LATER steps (defs precede uses).
-  if (opts.fold) {
-    std::vector<Step> kept;
-    kept.reserve(steps.size());
-    for (Step& step : steps) {
-      bool all_const = step.output != out_id;
-      for (int in : step.inputs) {
-        all_const = all_const &&
-                    values[static_cast<size_t>(in)].kind ==
-                        Value::kConstant;
-      }
-      if (!all_const) {
-        kept.push_back(std::move(step));
-        continue;
-      }
-      Value& out = values[static_cast<size_t>(step.output)];
-      out.pinned = Tensor::Empty({out.numel});
-      std::vector<Tensor> scratch_bufs;
-      std::vector<float*> bufs;
-      for (int in : step.inputs) {
-        bufs.push_back(const_cast<float*>(
-            values[static_cast<size_t>(in)].pinned.data()));
-      }
-      bufs.push_back(out.pinned.data());
-      for (int sid : step.scratch) {
-        scratch_bufs.push_back(
-            Tensor::Empty({values[static_cast<size_t>(sid)].numel}));
-        bufs.push_back(scratch_bufs.back().data());
-      }
-      step.fn(bufs.data());
-      out.kind = Value::kConstant;
-      ++plan->stats_.folded;
+  std::vector<Step> kept;
+  kept.reserve(steps.size());
+  for (Step& step : steps) {
+    bool all_const = step.output != out_id;
+    for (int in : step.inputs) {
+      all_const = all_const &&
+                  values[static_cast<size_t>(in)].kind == Value::kConstant;
     }
-    steps = std::move(kept);
-  }
-
-  // --- Elementwise fusion over adjacent producer/consumer pairs.
-  if (opts.fuse) {
-    for (size_t i = 0; i + 1 < steps.size();) {
-      Step& prod = steps[i];
-      Step& cons = steps[i + 1];
-      const int mid = prod.output;
-      const Value& mid_v = values[static_cast<size_t>(mid)];
-      const int64_t out_numel =
-          values[static_cast<size_t>(cons.output)].numel;
-      Step fused;
-      const bool legal =
-          cons.inputs.size() == 1 && cons.inputs[0] == mid &&
-          mid != out_id && mid_v.kind == Value::kTemp &&
-          mid_v.numel == out_numel && CountUses(steps, mid) == 1 &&
-          prod.scratch.empty() && cons.scratch.empty() &&
-          BuildFusedStep(prod, cons, out_numel, &fused);
-      if (!legal) {
-        ++i;
-        continue;
-      }
-      fused.output = cons.output;
-      steps[i] = std::move(fused);
-      steps.erase(steps.begin() + static_cast<int64_t>(i) + 1);
-      ++plan->stats_.fused;
-      // The intermediate now has no def and no use; liveness skips it.
+    if (!all_const) {
+      kept.push_back(std::move(step));
+      continue;
     }
+    Value& out = values[static_cast<size_t>(step.output)];
+    out.pinned = Tensor::Empty({out.numel});
+    std::vector<Tensor> scratch_bufs;
+    std::vector<float*> bufs;
+    for (int in : step.inputs) {
+      bufs.push_back(const_cast<float*>(
+          values[static_cast<size_t>(in)].pinned.data()));
+    }
+    bufs.push_back(out.pinned.data());
+    for (int sid : step.scratch) {
+      scratch_bufs.push_back(
+          Tensor::Empty({values[static_cast<size_t>(sid)].numel}));
+      bufs.push_back(scratch_bufs.back().data());
+    }
+    step.fn(bufs.data());
+    out.kind = Value::kConstant;
+    ++plan->stats_.folded;
   }
+  steps = std::move(kept);
 
   // --- Liveness: def/last-use step index per value, then first-fit
   // interval packing into one slab.
@@ -537,8 +419,7 @@ std::string ExecutionPlan::DebugLayout() const {
                     " steps, slab " +
                     std::to_string(stats_.slab_bytes) + " B, " +
                     std::to_string(stats_.constants) + " constants, " +
-                    std::to_string(stats_.folded) + " folded, " +
-                    std::to_string(stats_.fused) + " fused\n";
+                    std::to_string(stats_.folded) + " folded\n";
   for (size_t i = 0; i < steps_.size(); ++i) {
     out += "  [" + std::to_string(i) + "] " + steps_[i].name + "(";
     for (size_t a = 0; a < steps_[i].operands.size(); ++a) {

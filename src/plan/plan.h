@@ -14,18 +14,15 @@
 //     (e.g. prototype embeddings re-projected every forward) execute
 //     once at compile time into pinned buffers and vanish from the
 //     steady-state program.
-//   * Elementwise fusion: adjacent producer/consumer pairs with a fused
-//     kernel in the SIMD table (add+gelu, add_scalar+sqrt,
-//     mul_scalar+sigmoid, mul_scalar+softmax) collapse into one sweep
-//     that keeps the intermediate in registers. Legality: the producer
-//     is elementwise, its output has exactly one consumer, shapes are
-//     equal, and the fused kernel preserves the layer's lane-order
-//     contract — so fusion never changes bits either.
 //   * Static memory planning: every intermediate gets a [def, last-use]
 //     lifetime; a first-fit interval allocator packs them into ONE
 //     64-byte-aligned slab leased from the caching allocator at compile
 //     time. Steady-state Run() therefore makes zero tensor-allocator
 //     calls (asserted in tests/plan_test.cc via AllocatorStats).
+//
+// Fusion is a property of the op (SoftmaxLastDim applies its scale
+// inside the row sweep), so the recorded closures already run the fused
+// kernels the eager forward ran and the compiler needs no fusion pass.
 //
 // Run() patches the caller's input pointer into the pre-resolved
 // per-step buffer tables and replays the closures. A shape or SIMD
@@ -62,17 +59,11 @@
 namespace focus {
 namespace plan {
 
-struct Options {
-  bool fuse = true;  // elementwise chain fusion
-  bool fold = true;  // constant folding of parameter-only subgraphs
-};
-
 // Compile-time facts about a plan, for tests / benches / reports.
 struct PlanStats {
   int64_t captured_steps = 0;  // steps recorded by the eager forward
   int64_t steps = 0;           // steps in the compiled program
   int64_t folded = 0;          // steps removed by constant folding
-  int64_t fused = 0;           // fusion rewrites applied
   int64_t constants = 0;       // pinned parameter/constant buffers
   int64_t slab_bytes = 0;      // static slab size (64-byte aligned)
   int64_t flops_per_run = 0;   // FLOPs charged per Run()
@@ -92,8 +83,7 @@ class ExecutionPlan {
   // runs under InferenceModeGuard: it must be a pure inference pass.
   // Process-global: captures must not run concurrently.
   static std::unique_ptr<ExecutionPlan> Capture(const ForwardFn& fn,
-                                                const Tensor& example,
-                                                const Options& opts = {});
+                                                const Tensor& example);
 
   // True when `input` can be fed to Run(): same shape as the capture
   // example, the SIMD backend is still the one the plan was compiled

@@ -52,8 +52,11 @@ Tensor Sum(const Tensor& x, int64_t dim, bool keepdim);
 Tensor Mean(const Tensor& x, int64_t dim, bool keepdim);
 
 // --- Normalization / attention helpers ---------------------------------------
-// Softmax over the last dimension (numerically stabilized, fused backward).
-Tensor SoftmaxLastDim(const Tensor& x);
+// softmax(scale * x) over the last dimension (numerically stabilized,
+// fused backward). The scale is applied inside the row sweep, so scaled
+// attention scores are never materialized; it equals
+// SoftmaxLastDim(MulScalar(x, scale)) bit for bit.
+Tensor SoftmaxLastDim(const Tensor& x, float scale = 1.0f);
 // LayerNorm over the last dimension with affine params gamma/beta of shape
 // {last_dim}.
 Tensor LayerNormLastDim(const Tensor& x, const Tensor& gamma,

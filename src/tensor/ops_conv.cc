@@ -107,7 +107,7 @@ Tensor Conv1d(const Tensor& x, const Tensor& w, const Tensor& bias,
                                   ? std::vector<Tensor>{x, w, bias}
                                   : std::vector<Tensor>{x, w};
     plan_hooks::Record(
-        plan_hooks::StepKind::kOpaque, "Conv1d", std::move(ins), out,
+        "Conv1d", std::move(ins), out,
         [rec_bias, B, Cin, L, Cout, K, Lout, stride, padding,
          dilation](float* const* bufs) {
           const float* px = bufs[0];

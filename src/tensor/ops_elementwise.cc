@@ -32,10 +32,8 @@ using UnK = void (*)(const float*, float*, int64_t);
 using BwdKMember = BinK simd::KernelTable::*;
 
 // Minimum elements per shard: below this, pool dispatch costs more than the
-// arithmetic it spreads. Shared with the plan compiler (plan_hooks.h) so
-// fused sweeps shard exactly like the eager ops they replace.
+// arithmetic it spreads. Shared with the replay closures (plan_hooks.h).
 using plan_hooks::kElemGrain;
-using plan_hooks::StepKind;
 
 // Applies `f` elementwise with NumPy broadcasting. The equal-shape fast
 // path — the overwhelmingly common case — runs through the SIMD kernel
@@ -44,7 +42,7 @@ using plan_hooks::StepKind;
 // (`f`): its gather indexing defeats contiguous vector loads.
 template <typename F>
 Tensor BinaryKernel(const Tensor& a, const Tensor& b, const char* name,
-                    StepKind kind, BinK kern, F f) {
+                    BinK kern, F f) {
   if (a.shape() == b.shape()) {
     Tensor out = Tensor::Empty(a.shape());
     const float* pa = a.data();
@@ -57,7 +55,7 @@ Tensor BinaryKernel(const Tensor& a, const Tensor& b, const char* name,
     FlopCounter::Add(n);
     if (plan_hooks::CaptureActive()) {
       plan_hooks::Record(
-          kind, name, {a, b}, out, [kern, n](float* const* bufs) {
+          name, {a, b}, out, [kern, n](float* const* bufs) {
             const float* ra = bufs[0];
             const float* rb = bufs[1];
             float* ro = bufs[2];
@@ -92,13 +90,13 @@ Tensor BinaryKernel(const Tensor& a, const Tensor& b, const char* name,
   });
   FlopCounter::Add(n);
   if (plan_hooks::CaptureActive()) {
-    // Broadcast gather path: no fusion rule applies (kOpaque). The eager
-    // loop above pays a rank-long div walk per element; the replay pays
-    // it once per output row and sweeps the innermost dimension as a
-    // contiguous run. Every element is still one application of the same
-    // correctly-rounded op (the SIMD `kern` lanes compute the identical
-    // IEEE add/sub/mul/div as scalar `f`), so the restructuring cannot
-    // change a single output bit.
+    // Broadcast gather path. The eager loop above pays a rank-long div
+    // walk per element; the replay pays it once per output row and
+    // sweeps the innermost dimension as a contiguous run. Every element
+    // is still one application of the same correctly-rounded op (the
+    // SIMD `kern` lanes compute the identical IEEE add/sub/mul/div as
+    // scalar `f`), so the restructuring cannot change a single output
+    // bit.
     //
     // Innermost read strides are always 0 (that dim broadcasts) or 1
     // (natural stride of a trailing dim), which yields four row shapes:
@@ -107,7 +105,7 @@ Tensor BinaryKernel(const Tensor& a, const Tensor& b, const char* name,
     const int64_t ta = rank > 0 ? sa[static_cast<size_t>(rank - 1)] : 1;
     const int64_t tb = rank > 0 ? sb[static_cast<size_t>(rank - 1)] : 1;
     plan_hooks::Record(
-        StepKind::kOpaque, name, {a, b}, out,
+        name, {a, b}, out,
         [sa, sb, so, n, rank, m, ta, tb, kern, f](float* const* bufs) {
           const float* ra = bufs[0];
           const float* rb = bufs[1];
@@ -160,7 +158,7 @@ Tensor UnaryOp(const Tensor& x, const char* name,
   FlopCounter::Add(2 * n);
   if (plan_hooks::CaptureActive()) {
     plan_hooks::Record(
-        StepKind::kOpaque, name, {x}, out, [f, n](float* const* bufs) {
+        name, {x}, out, [f, n](float* const* bufs) {
           const float* rx = bufs[0];
           float* ro = bufs[1];
           ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
@@ -194,8 +192,8 @@ Tensor UnaryOp(const Tensor& x, const char* name,
 // backward through a table *member* (re-resolved at backward time).
 // The backward kernel receives the saved tensor — the input x or the
 // output y, whichever `save_input` picks — plus the incoming gradient.
-Tensor RoutedUnary(const Tensor& x, const char* name, StepKind kind,
-                   UnK fwd, BwdKMember bwd, bool save_input) {
+Tensor RoutedUnary(const Tensor& x, const char* name, UnK fwd,
+                   BwdKMember bwd, bool save_input) {
   Tensor out = Tensor::Empty(x.shape());
   const float* px = x.data();
   float* po = out.data();
@@ -206,7 +204,7 @@ Tensor RoutedUnary(const Tensor& x, const char* name, StepKind kind,
   FlopCounter::Add(2 * n);
   if (plan_hooks::CaptureActive()) {
     plan_hooks::Record(
-        kind, name, {x}, out, [fwd, n](float* const* bufs) {
+        name, {x}, out, [fwd, n](float* const* bufs) {
           const float* rx = bufs[0];
           float* ro = bufs[1];
           ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
@@ -238,8 +236,7 @@ Tensor RoutedUnary(const Tensor& x, const char* name, StepKind kind,
 Tensor Add(const Tensor& a, const Tensor& b) {
   FOCUS_OP_INPUT_CHECK("Add", a);
   FOCUS_OP_INPUT_CHECK("Add", b);
-  Tensor out = BinaryKernel(a, b, "Add", StepKind::kAdd,
-                            simd::Kernels().add,
+  Tensor out = BinaryKernel(a, b, "Add", simd::Kernels().add,
                             [](float x, float y) { return x + y; });
   Shape sa = a.shape(), sb = b.shape();
   return autograd::MakeResult(
@@ -251,8 +248,7 @@ Tensor Add(const Tensor& a, const Tensor& b) {
 Tensor Sub(const Tensor& a, const Tensor& b) {
   FOCUS_OP_INPUT_CHECK("Sub", a);
   FOCUS_OP_INPUT_CHECK("Sub", b);
-  Tensor out = BinaryKernel(a, b, "Sub", StepKind::kOpaque,
-                            simd::Kernels().sub,
+  Tensor out = BinaryKernel(a, b, "Sub", simd::Kernels().sub,
                             [](float x, float y) { return x - y; });
   Shape sa = a.shape(), sb = b.shape();
   return autograd::MakeResult(
@@ -265,8 +261,7 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
 Tensor Mul(const Tensor& a, const Tensor& b) {
   FOCUS_OP_INPUT_CHECK("Mul", a);
   FOCUS_OP_INPUT_CHECK("Mul", b);
-  Tensor out = BinaryKernel(a, b, "Mul", StepKind::kOpaque,
-                            simd::Kernels().mul,
+  Tensor out = BinaryKernel(a, b, "Mul", simd::Kernels().mul,
                             [](float x, float y) { return x * y; });
   Tensor ad = a.Detach(), bd = b.Detach();
   return autograd::MakeResult(
@@ -280,8 +275,7 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
 Tensor Div(const Tensor& a, const Tensor& b) {
   FOCUS_OP_INPUT_CHECK("Div", a);
   FOCUS_OP_INPUT_CHECK("Div", b);
-  Tensor out = BinaryKernel(a, b, "Div", StepKind::kOpaque,
-                            simd::Kernels().div,
+  Tensor out = BinaryKernel(a, b, "Div", simd::Kernels().div,
                             [](float x, float y) { return x / y; });
   Tensor ad = a.Detach(), bd = b.Detach();
   return autograd::MakeResult(
@@ -307,15 +301,13 @@ Tensor AddScalar(const Tensor& x, float s) {
   FlopCounter::Add(n);
   if (plan_hooks::CaptureActive()) {
     plan_hooks::Record(
-        StepKind::kAddScalar, "AddScalar", {x}, out,
-        [kern, s, n](float* const* bufs) {
+        "AddScalar", {x}, out, [kern, s, n](float* const* bufs) {
           const float* rx = bufs[0];
           float* ro = bufs[1];
           ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
             kern(rx + i0, s, ro + i0, i1 - i0);
           });
-        },
-        s);
+        });
   }
   return autograd::MakeResult(
       out, "AddScalar", {x},
@@ -335,15 +327,13 @@ Tensor MulScalar(const Tensor& x, float s) {
   FlopCounter::Add(n);
   if (plan_hooks::CaptureActive()) {
     plan_hooks::Record(
-        StepKind::kMulScalar, "MulScalar", {x}, out,
-        [kern, s, n](float* const* bufs) {
+        "MulScalar", {x}, out, [kern, s, n](float* const* bufs) {
           const float* rx = bufs[0];
           float* ro = bufs[1];
           ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
             kern(rx + i0, s, ro + i0, i1 - i0);
           });
-        },
-        s);
+        });
   }
   return autograd::MakeResult(
       out, "MulScalar", {x}, [s](const Tensor& g) -> std::vector<Tensor> {
@@ -370,7 +360,7 @@ Tensor Exp(const Tensor& x) {
   FOCUS_OP_INPUT_CHECK("Exp", x);
   // d/dx exp = exp(x) = y, so the backward is just y * g: the plain
   // elementwise-multiply table kernel.
-  return RoutedUnary(x, "Exp", StepKind::kOpaque, simd::Kernels().exp_fwd,
+  return RoutedUnary(x, "Exp", simd::Kernels().exp_fwd,
                      &simd::KernelTable::mul, /*save_input=*/false);
 }
 
@@ -383,13 +373,13 @@ Tensor Log(const Tensor& x) {
 
 Tensor Sqrt(const Tensor& x) {
   FOCUS_OP_INPUT_CHECK("Sqrt", x);
-  return RoutedUnary(x, "Sqrt", StepKind::kSqrt, simd::Kernels().sqrt_fwd,
+  return RoutedUnary(x, "Sqrt", simd::Kernels().sqrt_fwd,
                      &simd::KernelTable::sqrt_bwd, /*save_input=*/false);
 }
 
 Tensor Erf(const Tensor& x) {
   FOCUS_OP_INPUT_CHECK("Erf", x);
-  return RoutedUnary(x, "Erf", StepKind::kOpaque, simd::Kernels().erf_fwd,
+  return RoutedUnary(x, "Erf", simd::Kernels().erf_fwd,
                      &simd::KernelTable::erf_bwd, /*save_input=*/true);
 }
 
@@ -402,7 +392,7 @@ Tensor Abs(const Tensor& x) {
 
 Tensor Relu(const Tensor& x) {
   FOCUS_OP_INPUT_CHECK("Relu", x);
-  return RoutedUnary(x, "Relu", StepKind::kOpaque, simd::Kernels().relu_fwd,
+  return RoutedUnary(x, "Relu", simd::Kernels().relu_fwd,
                      &simd::KernelTable::relu_bwd, /*save_input=*/true);
 }
 
@@ -410,21 +400,20 @@ Tensor Gelu(const Tensor& x) {
   FOCUS_OP_INPUT_CHECK("Gelu", x);
   // tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3))),
   // c = sqrt(2/pi); the polynomial tanh lives in the SIMD layer.
-  return RoutedUnary(x, "Gelu", StepKind::kGelu, simd::Kernels().gelu_fwd,
+  return RoutedUnary(x, "Gelu", simd::Kernels().gelu_fwd,
                      &simd::KernelTable::gelu_bwd, /*save_input=*/true);
 }
 
 Tensor Sigmoid(const Tensor& x) {
   FOCUS_OP_INPUT_CHECK("Sigmoid", x);
-  return RoutedUnary(x, "Sigmoid", StepKind::kSigmoid,
-                     simd::Kernels().sigmoid_fwd,
+  return RoutedUnary(x, "Sigmoid", simd::Kernels().sigmoid_fwd,
                      &simd::KernelTable::sigmoid_bwd,
                      /*save_input=*/false);
 }
 
 Tensor Tanh(const Tensor& x) {
   FOCUS_OP_INPUT_CHECK("Tanh", x);
-  return RoutedUnary(x, "Tanh", StepKind::kOpaque, simd::Kernels().tanh_fwd,
+  return RoutedUnary(x, "Tanh", simd::Kernels().tanh_fwd,
                      &simd::KernelTable::tanh_bwd, /*save_input=*/false);
 }
 

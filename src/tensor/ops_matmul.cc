@@ -102,12 +102,10 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   if (plan_hooks::CaptureActive()) {
     // MatMulKernel re-resolves the row-block kernel from the active
     // table at replay time; the plan guard pins the backend.
-    plan_hooks::Record(plan_hooks::StepKind::kOpaque, "MatMul", {a, b},
-                       out, [d](float* const* bufs) {
-                         MatMulKernel(bufs[0], bufs[1], bufs[2], d.batch,
-                                      d.batch_a, d.batch_b, d.m, d.k,
-                                      d.n);
-                       });
+    plan_hooks::Record("MatMul", {a, b}, out, [d](float* const* bufs) {
+      MatMulKernel(bufs[0], bufs[1], bufs[2], d.batch, d.batch_a, d.batch_b,
+                   d.m, d.k, d.n);
+    });
   }
 
   Tensor ad = a.Detach(), bd = b.Detach();

@@ -35,13 +35,12 @@ Tensor SumAll(const Tensor& x) {
   FlopCounter::Add(n);
   Tensor out = Tensor::Scalar(static_cast<float>(acc));
   if (plan_hooks::CaptureActive()) {
-    plan_hooks::Record(plan_hooks::StepKind::kOpaque, "SumAll", {x}, out,
-                       [n](float* const* bufs) {
-                         const float* rx = bufs[0];
-                         double racc = 0.0;
-                         for (int64_t i = 0; i < n; ++i) racc += rx[i];
-                         bufs[1][0] = static_cast<float>(racc);
-                       });
+    plan_hooks::Record("SumAll", {x}, out, [n](float* const* bufs) {
+      const float* rx = bufs[0];
+      double racc = 0.0;
+      for (int64_t i = 0; i < n; ++i) racc += rx[i];
+      bufs[1][0] = static_cast<float>(racc);
+    });
   }
   Shape xs = x.shape();
   return autograd::MakeResult(
@@ -144,7 +143,7 @@ Tensor Sum(const Tensor& x, int64_t dim, bool keepdim) {
     const auto add_inplace = kt.add_inplace;
     const int64_t out_numel = out.numel();
     plan_hooks::Record(
-        plan_hooks::StepKind::kOpaque, "Sum", {x}, out,
+        "Sum", {x}, out,
         [row_sum, add_inplace, outer, inner, reduce,
          out_numel](float* const* bufs) {
           const float* rx = bufs[0];
@@ -222,12 +221,9 @@ Tensor BroadcastTo(const Tensor& x, const Shape& shape) {
     Tensor copy = x.Clone();
     if (plan_hooks::CaptureActive()) {
       const int64_t n = x.numel();
-      plan_hooks::Record(plan_hooks::StepKind::kOpaque, "BroadcastTo",
-                         {x}, copy, [n](float* const* bufs) {
-                           std::memcpy(bufs[1], bufs[0],
-                                       static_cast<size_t>(n) *
-                                           sizeof(float));
-                         });
+      plan_hooks::Record("BroadcastTo", {x}, copy, [n](float* const* bufs) {
+        std::memcpy(bufs[1], bufs[0], static_cast<size_t>(n) * sizeof(float));
+      });
     }
     return copy;
   }
@@ -253,7 +249,7 @@ Tensor BroadcastTo(const Tensor& x, const Shape& shape) {
   });
   if (plan_hooks::CaptureActive()) {
     plan_hooks::Record(
-        plan_hooks::StepKind::kOpaque, "BroadcastTo", {x}, out,
+        "BroadcastTo", {x}, out,
         [sx, so, n, rank](float* const* bufs) {
           const float* rx = bufs[0];
           float* ro = bufs[1];

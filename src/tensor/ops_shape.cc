@@ -94,7 +94,7 @@ Tensor Permute(const Tensor& x, const std::vector<int64_t>& dims) {
                        dims[static_cast<size_t>(rank - 1)])]
                  : 1;
     plan_hooks::Record(
-        plan_hooks::StepKind::kOpaque, "Permute", {x}, out,
+        "Permute", {x}, out,
         [in_strides, out_strides, dims, rank, n, inner,
          stride_in](float* const* bufs) {
           const float* rx = bufs[0];
@@ -183,7 +183,7 @@ Tensor Slice(const Tensor& x, int64_t dim, int64_t start, int64_t end) {
 
   if (plan_hooks::CaptureActive()) {
     plan_hooks::Record(
-        plan_hooks::StepKind::kOpaque, "Slice", {x}, out,
+        "Slice", {x}, out,
         [outer, size, start, inner, len](float* const* bufs) {
           const float* rx = bufs[0];
           float* ro = bufs[1];
@@ -253,8 +253,7 @@ Tensor Cat(const std::vector<Tensor>& tensors, int64_t dim) {
 
   if (plan_hooks::CaptureActive()) {
     plan_hooks::Record(
-        plan_hooks::StepKind::kOpaque, "Cat",
-        {tensors.begin(), tensors.end()}, out,
+        "Cat", {tensors.begin(), tensors.end()}, out,
         [sizes, outer, total, inner](float* const* bufs) {
           float* ro = bufs[sizes.size()];
           int64_t off = 0;
@@ -315,7 +314,7 @@ Tensor IndexSelect(const Tensor& x, int64_t dim,
 
   if (plan_hooks::CaptureActive()) {
     plan_hooks::Record(
-        plan_hooks::StepKind::kOpaque, "IndexSelect", {x}, out,
+        "IndexSelect", {x}, out,
         [indices, size, outer, inner, len](float* const* bufs) {
           const float* rx = bufs[0];
           float* ro = bufs[1];

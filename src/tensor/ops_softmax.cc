@@ -27,51 +27,49 @@ namespace focus {
 namespace {
 // Rows are cheap for small n; shard only when a shard carries at least
 // this many scalar elements so pool dispatch never dominates. The grain
-// is shared with the plan compiler (plan_hooks.h) so fused row sweeps
-// shard exactly like the eager ops they replace.
+// is shared with the replay closures (plan_hooks.h).
 using plan_hooks::RowGrain;
 }  // namespace
 
-Tensor SoftmaxLastDim(const Tensor& x) {
+// softmax(scale * x) in one row sweep: the scaled logits are never
+// materialized, in eager, training or planned execution alike. The
+// kernel's x * scale is the same float32 product MulScalar computes,
+// and scale = 1 is exact, so SoftmaxLastDim(x, s) equals
+// SoftmaxLastDim(MulScalar(x, s)) bit for bit — forward, backward and
+// FLOP count.
+Tensor SoftmaxLastDim(const Tensor& x, float scale) {
   FOCUS_OP_INPUT_CHECK("SoftmaxLastDim", x);
   FOCUS_CHECK_GE(x.dim(), 1);
   const int64_t n = x.size(-1);
   const int64_t rows = x.numel() / n;
+  const auto rows_kern = simd::Kernels().softmax_rows;
   Tensor out = Tensor::Empty(x.shape());
   {
     FOCUS_KERNEL_SCOPE("kernel/softmax");
     const float* px = x.data();
     float* po = out.data();
-    const auto rows_kern = simd::Kernels().softmax_rows;
     ParallelFor(0, rows, RowGrain(n), [&](int64_t r0, int64_t r1) {
-      rows_kern(px + r0 * n, po + r0 * n, r1 - r0, n);
+      rows_kern(px + r0 * n, scale, po + r0 * n, r1 - r0, n);
     });
-    FlopCounter::Add(5 * x.numel());
+    // The scale costs what a separate MulScalar would (one FLOP each).
+    FlopCounter::Add((scale != 1.0f ? 6 : 5) * x.numel());
   }
   if (plan_hooks::CaptureActive()) {
-    plan_hooks::StepRecord rec;
-    rec.kind = plan_hooks::StepKind::kSoftmaxRows;
-    rec.name = "Softmax";
-    rec.inputs = {x};
-    rec.output = out;
-    rec.rows = rows;
-    rec.inner = n;
-    const auto rows_kern = simd::Kernels().softmax_rows;
-    rec.fn = [rows_kern, rows, n](float* const* bufs) {
-      const float* rx = bufs[0];
-      float* ro = bufs[1];
-      ParallelFor(0, rows, RowGrain(n), [&](int64_t r0, int64_t r1) {
-        rows_kern(rx + r0 * n, ro + r0 * n, r1 - r0, n);
-      });
-    };
-    plan_hooks::RecordStep(std::move(rec));
+    plan_hooks::Record(
+        "Softmax", {x}, out, [rows_kern, scale, rows, n](float* const* bufs) {
+          const float* rx = bufs[0];
+          float* ro = bufs[1];
+          ParallelFor(0, rows, RowGrain(n), [&](int64_t r0, int64_t r1) {
+            rows_kern(rx + r0 * n, scale, ro + r0 * n, r1 - r0, n);
+          });
+        });
   }
 
   Tensor y_saved = out.Detach();
   return autograd::MakeResult(
       out, "Softmax", {x},
-      [y_saved, n, rows](const Tensor& g) -> std::vector<Tensor> {
-        // dx_i = y_i * (g_i - sum_j g_j y_j)
+      [y_saved, n, rows, scale](const Tensor& g) -> std::vector<Tensor> {
+        // dx_i = scale * y_i * (g_i - sum_j g_j y_j)
         Tensor gin = Tensor::Empty(y_saved.shape());
         const float* pg = g.data();
         const float* py = y_saved.data();
@@ -81,7 +79,10 @@ Tensor SoftmaxLastDim(const Tensor& x) {
           bwd_kern(py + r0 * n, pg + r0 * n, pi + r0 * n, r1 - r0, n);
         });
         FlopCounter::Add(4 * y_saved.numel());
-        return {gin};
+        if (scale == 1.0f) return {gin};
+        // The chain rule through the scale, as MulScalar's backward.
+        NoGradGuard no_grad;
+        return {MulScalar(gin, scale)};
       });
 }
 
@@ -117,7 +118,6 @@ Tensor LayerNormLastDim(const Tensor& x, const Tensor& gamma,
   }
   if (plan_hooks::CaptureActive()) {
     plan_hooks::StepRecord rec;
-    rec.kind = plan_hooks::StepKind::kOpaque;
     rec.name = "LayerNorm";
     rec.inputs = {x, gamma, beta};
     rec.output = out;

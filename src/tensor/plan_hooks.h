@@ -2,12 +2,13 @@
 //
 // When a plan capture is active (a CaptureSink is installed), every
 // instrumented op site in ops_*.cc records a StepRecord describing the
-// kernel launch it just performed: the op kind, its input/output
-// tensors, any scalar parameter, and a replay closure that re-runs the
-// *same* kernel sequence against caller-supplied raw buffers. The
-// closure captures resolved shapes, grains, and kernel pointers by
-// value — never the capture-time buffer addresses — so the plan
-// compiler can rebind it onto slab offsets and per-call input pointers.
+// kernel launch it just performed: its input/output tensors and a
+// replay closure that re-runs the *same* kernel sequence against
+// caller-supplied raw buffers. The closure captures resolved shapes,
+// grains, scalars and kernel pointers by value — never the capture-time
+// buffer addresses — so the plan compiler can rebind it onto slab
+// offsets and per-call input pointers. Fusion is a property of the op
+// (e.g. SoftmaxLastDim's scale), so a plan inherits it from the record.
 //
 // Because the closure is built at the op site from the very code the
 // eager path just executed, a plan replay performs the identical IEEE
@@ -37,26 +38,12 @@
 namespace focus {
 namespace plan_hooks {
 
-// Step classification the plan compiler fuses over. Anything without a
-// fusion rule is kOpaque; the replay closure alone defines what it does.
-enum class StepKind {
-  kOpaque,
-  kAdd,        // equal-shape elementwise add
-  kAddScalar,  // x + s
-  kMulScalar,  // x * s
-  kGelu,
-  kSigmoid,
-  kSqrt,
-  kSoftmaxRows,  // softmax over `rows` rows of length `inner`
-};
-
 // Replay closure: bufs holds one float* per recorded tensor, in the
 // order [inputs..., output, scratch...]. Buffers are distinct (plans
 // never alias step operands) and sized to the recorded numels.
 using StepFn = std::function<void(float* const* bufs)>;
 
 struct StepRecord {
-  StepKind kind = StepKind::kOpaque;
   const char* name = "";  // static-lifetime op label, for diagnostics
   std::vector<Tensor> inputs;
   Tensor output;
@@ -64,8 +51,6 @@ struct StepRecord {
   // LayerNorm uses two `rows`-sized slots for means/rstds.
   std::vector<int64_t> scratch_numels;
   StepFn fn;
-  float scalar = 0.0f;           // kAddScalar / kMulScalar operand
-  int64_t rows = 0, inner = 0;   // kSoftmaxRows geometry
 };
 
 class CaptureSink {
@@ -102,22 +87,19 @@ void NotifyUnsupported(const char* what);
 void NotifyFree(const float* ptr);
 
 // Convenience wrapper for the common record shape (no scratch).
-inline void Record(StepKind kind, const char* name,
-                   std::vector<Tensor> inputs, const Tensor& out, StepFn fn,
-                   float scalar = 0.0f) {
+inline void Record(const char* name, std::vector<Tensor> inputs,
+                   const Tensor& out, StepFn fn) {
   StepRecord rec;
-  rec.kind = kind;
   rec.name = name;
   rec.inputs = std::move(inputs);
   rec.output = out;
   rec.fn = std::move(fn);
-  rec.scalar = scalar;
   RecordStep(std::move(rec));
 }
 
-// Shard grain every elementwise op uses for ParallelFor. Lives here so
-// the plan compiler's fused sweeps shard exactly like the eager ops
-// they replace (identical grains keep thread-count bit-identity).
+// Shard grain every elementwise op uses for ParallelFor, in its eager
+// sweep and its replay closure alike (identical grains keep
+// thread-count bit-identity).
 inline constexpr int64_t kElemGrain = 16384;
 
 // Row-sharding grain for softmax/layernorm-style row kernels.

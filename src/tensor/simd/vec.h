@@ -96,7 +96,9 @@ struct KernelTable {
   void (*sqrt_bwd)(const float* y, const float* g, float* o, int64_t n);
 
   // Fused row kernels over `rows` contiguous rows of length n.
-  void (*softmax_rows)(const float* x, float* y, int64_t rows,
+  // softmax_rows computes softmax(s * x) per row in one sweep; s = 1
+  // is the plain softmax (x * 1.0f is exact).
+  void (*softmax_rows)(const float* x, float s, float* y, int64_t rows,
                        int64_t n);
   void (*softmax_bwd_rows)(const float* y, const float* g, float* gx,
                            int64_t rows, int64_t n);
@@ -108,20 +110,6 @@ struct KernelTable {
                                 const float* gamma, const float* means,
                                 const float* rstds, float* gx,
                                 int64_t rows, int64_t n);
-
-  // Fused elementwise/activation chains used by the plan compiler
-  // (src/plan). Each is exactly the composition of the two unfused
-  // kernels above — same per-element operations in the same order,
-  // intermediate kept in registers — so substituting them preserves
-  // the lane-order determinism contract bit-for-bit.
-  void (*add_gelu_fwd)(const float* a, const float* b, float* o,
-                       int64_t n);
-  void (*add_scalar_sqrt_fwd)(const float* x, float s, float* o,
-                              int64_t n);
-  void (*mul_scalar_sigmoid_fwd)(const float* x, float s, float* o,
-                                 int64_t n);
-  void (*mul_scalar_softmax_rows)(const float* x, float s, float* y,
-                                  int64_t rows, int64_t n);
 };
 
 // The active kernel table. First call resolves the backend (cheap

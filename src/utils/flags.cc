@@ -38,16 +38,18 @@ long FlagParser::GetInt(const std::string& name, long fallback) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   char* end = nullptr;
-  const long parsed = std::strtol(it->second.c_str(), &end, 10);
-  return (end && *end == '\0') ? parsed : fallback;
+  const char* text = it->second.c_str();
+  const long parsed = std::strtol(text, &end, 10);
+  return (end != text && *end == '\0') ? parsed : fallback;
 }
 
 double FlagParser::GetDouble(const std::string& name, double fallback) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   char* end = nullptr;
-  const double parsed = std::strtod(it->second.c_str(), &end);
-  return (end && *end == '\0') ? parsed : fallback;
+  const char* text = it->second.c_str();
+  const double parsed = std::strtod(text, &end);
+  return (end != text && *end == '\0') ? parsed : fallback;
 }
 
 bool FlagParser::GetBool(const std::string& name, bool fallback) const {

@@ -146,7 +146,10 @@ TEST(AutogradTest, SoftmaxBackward) {
   Tensor a = MakeParam({3, 5}, 22);
   Rng rng(99);
   Tensor w = Tensor::Randn({3, 5}, rng);  // fixed mixing weights
-  CheckGradients([&] { return SumAll(Mul(SoftmaxLastDim(a), w)); }, {a});
+  for (float scale : {1.0f, 0.3f}) {
+    CheckGradients(
+        [&] { return SumAll(Mul(SoftmaxLastDim(a, scale), w)); }, {a});
+  }
 }
 
 TEST(AutogradTest, LayerNormBackward) {

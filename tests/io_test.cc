@@ -76,6 +76,21 @@ TEST(CsvIoTest, RejectsMalformedFiles) {
   const std::string empty = ::testing::TempDir() + "/empty.csv";
   { std::ofstream out(empty); }
   EXPECT_EQ(data::LoadCsv(empty).status().code(), Status::Code::kCorruption);
+
+  // Split fractions must be finite numbers in (0, 1) with train + val < 1.
+  const std::string bad_meta = ::testing::TempDir() + "/badmeta.csv";
+  for (const char* meta :
+       {"train=abc", "val=abc", "train=", "train=0.7x", "train=nan",
+        "train=inf", "train=0", "train=1", "val=-0.1", "train=1e400",
+        "train=0.8|val=0.2", "train=0.9|val=0.3"}) {
+    {
+      std::ofstream out(bad_meta);
+      out << "#name=x|" << meta << "\na,b\n1,2\n3,4\n5,6\n";
+    }
+    EXPECT_EQ(data::LoadCsv(bad_meta).status().code(),
+              Status::Code::kCorruption)
+        << meta;
+  }
 }
 
 TEST(FlagParserTest, ParsesAllForms) {
@@ -95,9 +110,11 @@ TEST(FlagParserTest, ParsesAllForms) {
 }
 
 TEST(FlagParserTest, FallbacksApplyOnMissingOrUnparsable) {
-  const char* argv[] = {"prog", "--num=abc"};
-  FlagParser flags(2, argv);
+  const char* argv[] = {"prog", "--num=abc", "--empty="};
+  FlagParser flags(3, argv);
   EXPECT_EQ(flags.GetInt("num", 7), 7);       // unparsable
+  EXPECT_EQ(flags.GetInt("empty", 5), 5);     // empty value
+  EXPECT_EQ(flags.GetDouble("empty", 2.5), 2.5);
   EXPECT_EQ(flags.GetInt("missing", 9), 9);   // missing
   EXPECT_EQ(flags.GetString("num", "x"), "abc");
   EXPECT_FALSE(flags.GetBool("missing", false));

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "parallel/thread_pool.h"
 #include "serve/engine.h"
 #include "tensor/allocator.h"
+#include "tensor/flops.h"
 #include "tensor/ops.h"
 #include "tensor/simd/vec.h"
 #include "tensor/tensor.h"
@@ -144,6 +146,55 @@ TEST(ParityTest, SoftmaxForwardBackward) {
           return std::vector<Tensor>{Tensor::Randn({61, 47}, rng)};
         });
   });
+}
+
+// SoftmaxLastDim(x, s) applies the scale inside its row sweep. It must
+// equal the two-op composition it replaced in forward bytes, input
+// gradient bytes and charged FLOPs, on every SIMD backend. n = 47
+// leaves a lane tail in every row.
+TEST(ParityTest, ScaledSoftmaxMatchesMulScalarComposition) {
+  struct Run {
+    Tensor y, grad;
+    int64_t fwd_flops = 0, bwd_flops = 0;
+  };
+  auto run = [](float scale, bool one_op) {
+    Rng rng(17);
+    Tensor x = Tensor::Randn({61, 47}, rng);
+    Tensor w = Tensor::Randn({61, 47}, rng);
+    x.SetRequiresGrad(true);
+    Run r;
+    FlopScope fwd;
+    r.y = one_op ? SoftmaxLastDim(x, scale)
+                 : SoftmaxLastDim(MulScalar(x, scale));
+    r.fwd_flops = fwd.Elapsed();
+    Tensor loss = SumAll(Mul(r.y, w));
+    FlopScope bwd;
+    loss.Backward();
+    r.bwd_flops = bwd.Elapsed();
+    r.grad = x.Grad();
+    return r;
+  };
+  auto same_bytes = [](const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+  };
+  std::vector<simd::Backend> backends = {simd::Backend::kScalar};
+  if (simd::Avx2Available()) backends.push_back(simd::Backend::kAvx2);
+  for (simd::Backend backend : backends) {
+    ASSERT_TRUE(simd::SetBackend(backend));
+    for (float scale : {0.3f, 2.7f}) {
+      const Run one = run(scale, true);
+      const Run two = run(scale, false);
+      const std::string what = std::string(simd::BackendName()) +
+                               " s=" + std::to_string(scale);
+      EXPECT_TRUE(same_bytes(one.y, two.y)) << "forward, " << what;
+      EXPECT_TRUE(same_bytes(one.grad, two.grad)) << "gradient, " << what;
+      EXPECT_EQ(one.fwd_flops, two.fwd_flops) << what;
+      EXPECT_EQ(one.bwd_flops, two.bwd_flops) << what;
+    }
+  }
+  simd::ReinitFromEnv();
 }
 
 TEST(ParityTest, LayerNormForwardBackward) {

@@ -226,16 +226,18 @@ TEST_F(SimdBitIdentityTest, RowKernels) {
     const auto gamma = TestVec(n, 12, 0.5f, 1.5f);
     const auto beta = TestVec(n, 13);
     const std::string sz = " n=" + std::to_string(n);
-    ExpectBackendsMatch(
-        [&](const simd::KernelTable& kt, float* o) {
-          kt.softmax_rows(x.data(), o, rows, n);
-        },
-        rows * n, "softmax_rows" + sz);
+    for (float scale : {1.0f, 0.3f}) {
+      ExpectBackendsMatch(
+          [&](const simd::KernelTable& kt, float* o) {
+            kt.softmax_rows(x.data(), scale, o, rows, n);
+          },
+          rows * n, "softmax_rows s=" + std::to_string(scale) + sz);
+    }
     ExpectBackendsMatch(
         [&](const simd::KernelTable& kt, float* o) {
           // y rows must be a valid softmax output; reuse the kernel.
           std::vector<float> y(static_cast<size_t>(rows * n));
-          kt.softmax_rows(x.data(), y.data(), rows, n);
+          kt.softmax_rows(x.data(), 1.0f, y.data(), rows, n);
           kt.softmax_bwd_rows(y.data(), g.data(), o, rows, n);
         },
         rows * n, "softmax_bwd_rows" + sz);
