@@ -13,7 +13,7 @@ Shape BroadcastShapes(const Shape& a, const Shape& b) {
     FOCUS_CHECK(da == db || da == 1 || db == 1)
         << "incompatible broadcast: " << ShapeToString(a) << " vs "
         << ShapeToString(b);
-    out[i] = std::max(da, db);
+    out[i] = da == 1 ? db : da;  // a 1 yields to the other extent, even 0
   }
   return out;
 }

@@ -1,11 +1,13 @@
 // Elementwise binary / scalar / unary kernels and the loss compositions.
 //
-// All kernels are embarrassingly parallel over the flat output index and
-// run through ParallelFor in contiguous chunks, so results are bit-identical
-// for any FOCUS_NUM_THREADS. FLOP counts are added once, outside the
-// parallel regions.
+// All kernels are embarrassingly parallel over the flat output index (the
+// broadcast path: over output rows) and run through ParallelFor in
+// contiguous chunks, so results are bit-identical for any
+// FOCUS_NUM_THREADS. Each op's kernel is one closure that runs eagerly
+// and is recorded for plan replay (plan_hooks::RunStep). FLOP counts are
+// added once, outside the parallel regions.
+#include <array>
 #include <cmath>
-#include <cstring>
 #include <functional>
 
 #include "parallel/thread_pool.h"
@@ -32,114 +34,67 @@ using UnK = void (*)(const float*, float*, int64_t);
 using BwdKMember = BinK simd::KernelTable::*;
 
 // Minimum elements per shard: below this, pool dispatch costs more than the
-// arithmetic it spreads. Shared with the replay closures (plan_hooks.h).
+// arithmetic it spreads (defined in plan_hooks.h).
 using plan_hooks::kElemGrain;
 
 // Applies `f` elementwise with NumPy broadcasting. The equal-shape fast
 // path — the overwhelmingly common case — runs through the SIMD kernel
 // `kern`; lane grouping carries no cross-element data flow, so chunk
-// boundaries cannot change results. The broadcast path stays scalar
-// (`f`): its gather indexing defeats contiguous vector loads.
+// boundaries cannot change results. The broadcast path sweeps output
+// rows (SweepRows: one div walk per row, the innermost dimension as a
+// contiguous run). Innermost read strides are 0 (that dim broadcasts) or
+// 1 (natural stride of a trailing dim), and at least one operand has
+// stride 1 (shapes that differ broadcast to rank >= 1, and an innermost
+// extent above 1 comes from an operand), so a row is vec-vec (`kern`),
+// vec-scalar or scalar-vec (scalar `f`). Every element is still one
+// application of the same correctly-rounded op (the SIMD `kern` lanes
+// compute the identical IEEE add/sub/mul/div as scalar `f`), so no row
+// shape changes a single output bit.
 template <typename F>
 Tensor BinaryKernel(const Tensor& a, const Tensor& b, const char* name,
                     BinK kern, F f) {
   if (a.shape() == b.shape()) {
     Tensor out = Tensor::Empty(a.shape());
-    const float* pa = a.data();
-    const float* pb = b.data();
-    float* po = out.data();
     const int64_t n = a.numel();
-    ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
-      kern(pa + i0, pb + i0, po + i0, i1 - i0);
+    plan_hooks::RunStep(name, {a, b}, out, [kern, n](float* const* bufs) {
+      ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
+        kern(bufs[0] + i0, bufs[1] + i0, bufs[2] + i0, i1 - i0);
+      });
     });
     FlopCounter::Add(n);
-    if (plan_hooks::CaptureActive()) {
-      plan_hooks::Record(
-          name, {a, b}, out, [kern, n](float* const* bufs) {
-            const float* ra = bufs[0];
-            const float* rb = bufs[1];
-            float* ro = bufs[2];
-            ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
-              kern(ra + i0, rb + i0, ro + i0, i1 - i0);
-            });
-          });
-    }
     return out;
   }
   const Shape out_shape = BroadcastShapes(a.shape(), b.shape());
   Tensor out = Tensor::Empty(out_shape);
-  const auto sa = BroadcastReadStrides(a.shape(), out_shape);
-  const auto sb = BroadcastReadStrides(b.shape(), out_shape);
-  const auto so = internal_ops::Strides(out_shape);
+  std::array<std::vector<int64_t>, 2> read = {
+      BroadcastReadStrides(a.shape(), out_shape),
+      BroadcastReadStrides(b.shape(), out_shape)};
   const int64_t n = out.numel();
-  const int64_t rank = static_cast<int64_t>(out_shape.size());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  ParallelFor(0, n, kElemGrain / 4, [&](int64_t f0, int64_t f1) {
-    for (int64_t flat = f0; flat < f1; ++flat) {
-      int64_t rem = flat, oa = 0, ob = 0;
-      for (int64_t d = 0; d < rank; ++d) {
-        const int64_t idx = rem / so[d];
-        rem -= idx * so[d];
-        oa += idx * sa[d];
-        ob += idx * sb[d];
-      }
-      po[flat] = f(pa[oa], pb[ob]);
-    }
-  });
+  const int64_t m = out_shape.back();
+  const int64_t ta = read[0].back();
+  const int64_t tb = read[1].back();
+  plan_hooks::RunStep(
+      name, {a, b}, out,
+      [so = internal_ops::Strides(out_shape), read = std::move(read), n, m,
+       ta, tb, kern, f](float* const* bufs) {
+        internal_ops::SweepRows(
+            so, read, n, m,
+            [&](int64_t row, const std::array<int64_t, 2>& off) {
+              const float* pa = bufs[0] + off[0];
+              const float* pb = bufs[1] + off[1];
+              float* o = bufs[2] + row * m;
+              if (ta == 1 && tb == 1) {
+                kern(pa, pb, o, m);
+              } else if (ta == 1) {
+                const float s = *pb;
+                for (int64_t j = 0; j < m; ++j) o[j] = f(pa[j], s);
+              } else {
+                const float s = *pa;
+                for (int64_t j = 0; j < m; ++j) o[j] = f(s, pb[j]);
+              }
+            });
+      });
   FlopCounter::Add(n);
-  if (plan_hooks::CaptureActive()) {
-    // Broadcast gather path. The eager loop above pays a rank-long div
-    // walk per element; the replay pays it once per output row and
-    // sweeps the innermost dimension as a contiguous run. Every element
-    // is still one application of the same correctly-rounded op (the
-    // SIMD `kern` lanes compute the identical IEEE add/sub/mul/div as
-    // scalar `f`), so the restructuring cannot change a single output
-    // bit.
-    //
-    // Innermost read strides are always 0 (that dim broadcasts) or 1
-    // (natural stride of a trailing dim), which yields four row shapes:
-    // vec-vec, vec-scalar, scalar-vec, and scalar-scalar.
-    const int64_t m = rank > 0 ? out_shape.back() : 1;
-    const int64_t ta = rank > 0 ? sa[static_cast<size_t>(rank - 1)] : 1;
-    const int64_t tb = rank > 0 ? sb[static_cast<size_t>(rank - 1)] : 1;
-    plan_hooks::Record(
-        name, {a, b}, out,
-        [sa, sb, so, n, rank, m, ta, tb, kern, f](float* const* bufs) {
-          const float* ra = bufs[0];
-          const float* rb = bufs[1];
-          float* ro = bufs[2];
-          const int64_t rows = n / m;
-          ParallelFor(
-              0, rows, plan_hooks::RowGrain(m), [&](int64_t r0, int64_t r1) {
-                for (int64_t row = r0; row < r1; ++row) {
-                  int64_t rem = row * m, oa = 0, ob = 0;
-                  for (int64_t d = 0; d + 1 < rank; ++d) {
-                    const int64_t idx = rem / so[d];
-                    rem -= idx * so[d];
-                    oa += idx * sa[d];
-                    ob += idx * sb[d];
-                  }
-                  const float* pa = ra + oa;
-                  const float* pb = rb + ob;
-                  float* o = ro + row * m;
-                  if (ta == 1 && tb == 1) {
-                    kern(pa, pb, o, m);
-                  } else if (ta == 1) {
-                    const float s = *pb;
-                    for (int64_t j = 0; j < m; ++j) o[j] = f(pa[j], s);
-                  } else if (tb == 1) {
-                    const float s = *pa;
-                    for (int64_t j = 0; j < m; ++j) o[j] = f(s, pb[j]);
-                  } else {
-                    const float v = f(*pa, *pb);
-                    for (int64_t j = 0; j < m; ++j) o[j] = v;
-                  }
-                }
-              });
-        });
-  }
   return out;
 }
 
@@ -149,23 +104,15 @@ Tensor UnaryOp(const Tensor& x, const char* name,
                const std::function<float(float)>& f,
                const std::function<float(float, float)>& df) {
   Tensor out = Tensor::Empty(x.shape());
-  const float* px = x.data();
-  float* po = out.data();
   const int64_t n = x.numel();
-  ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) po[i] = f(px[i]);
+  plan_hooks::RunStep(name, {x}, out, [f, n](float* const* bufs) {
+    const float* rx = bufs[0];
+    float* ro = bufs[1];
+    ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
+      for (int64_t i = i0; i < i1; ++i) ro[i] = f(rx[i]);
+    });
   });
   FlopCounter::Add(2 * n);
-  if (plan_hooks::CaptureActive()) {
-    plan_hooks::Record(
-        name, {x}, out, [f, n](float* const* bufs) {
-          const float* rx = bufs[0];
-          float* ro = bufs[1];
-          ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
-            for (int64_t i = i0; i < i1; ++i) ro[i] = f(rx[i]);
-          });
-        });
-  }
 
   Tensor x_saved = x.Detach();
   Tensor y_saved = out.Detach();
@@ -195,23 +142,13 @@ Tensor UnaryOp(const Tensor& x, const char* name,
 Tensor RoutedUnary(const Tensor& x, const char* name, UnK fwd,
                    BwdKMember bwd, bool save_input) {
   Tensor out = Tensor::Empty(x.shape());
-  const float* px = x.data();
-  float* po = out.data();
   const int64_t n = x.numel();
-  ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
-    fwd(px + i0, po + i0, i1 - i0);
+  plan_hooks::RunStep(name, {x}, out, [fwd, n](float* const* bufs) {
+    ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
+      fwd(bufs[0] + i0, bufs[1] + i0, i1 - i0);
+    });
   });
   FlopCounter::Add(2 * n);
-  if (plan_hooks::CaptureActive()) {
-    plan_hooks::Record(
-        name, {x}, out, [fwd, n](float* const* bufs) {
-          const float* rx = bufs[0];
-          float* ro = bufs[1];
-          ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
-            fwd(rx + i0, ro + i0, i1 - i0);
-          });
-        });
-  }
 
   Tensor saved = save_input ? x.Detach() : out.Detach();
   return autograd::MakeResult(
@@ -291,24 +228,14 @@ Tensor Div(const Tensor& a, const Tensor& b) {
 Tensor AddScalar(const Tensor& x, float s) {
   FOCUS_OP_INPUT_CHECK("AddScalar", x);
   Tensor out = Tensor::Empty(x.shape());
-  const float* px = x.data();
-  float* po = out.data();
   const auto kern = simd::Kernels().add_scalar;
   const int64_t n = x.numel();
-  ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
-    kern(px + i0, s, po + i0, i1 - i0);
+  plan_hooks::RunStep("AddScalar", {x}, out, [kern, s, n](float* const* bufs) {
+    ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
+      kern(bufs[0] + i0, s, bufs[1] + i0, i1 - i0);
+    });
   });
   FlopCounter::Add(n);
-  if (plan_hooks::CaptureActive()) {
-    plan_hooks::Record(
-        "AddScalar", {x}, out, [kern, s, n](float* const* bufs) {
-          const float* rx = bufs[0];
-          float* ro = bufs[1];
-          ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
-            kern(rx + i0, s, ro + i0, i1 - i0);
-          });
-        });
-  }
   return autograd::MakeResult(
       out, "AddScalar", {x},
       [](const Tensor& g) -> std::vector<Tensor> { return {g.Clone()}; });
@@ -317,24 +244,14 @@ Tensor AddScalar(const Tensor& x, float s) {
 Tensor MulScalar(const Tensor& x, float s) {
   FOCUS_OP_INPUT_CHECK("MulScalar", x);
   Tensor out = Tensor::Empty(x.shape());
-  const float* px = x.data();
-  float* po = out.data();
   const auto kern = simd::Kernels().mul_scalar;
   const int64_t n = x.numel();
-  ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
-    kern(px + i0, s, po + i0, i1 - i0);
+  plan_hooks::RunStep("MulScalar", {x}, out, [kern, s, n](float* const* bufs) {
+    ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
+      kern(bufs[0] + i0, s, bufs[1] + i0, i1 - i0);
+    });
   });
   FlopCounter::Add(n);
-  if (plan_hooks::CaptureActive()) {
-    plan_hooks::Record(
-        "MulScalar", {x}, out, [kern, s, n](float* const* bufs) {
-          const float* rx = bufs[0];
-          float* ro = bufs[1];
-          ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
-            kern(rx + i0, s, ro + i0, i1 - i0);
-          });
-        });
-  }
   return autograd::MakeResult(
       out, "MulScalar", {x}, [s](const Tensor& g) -> std::vector<Tensor> {
         NoGradGuard no_grad;

@@ -10,6 +10,7 @@
 // stays serial on purpose: its double-precision running sum would change
 // grouping under sharding.
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "parallel/thread_pool.h"
@@ -28,20 +29,14 @@ using internal_ops::NormalizeDim;
 
 Tensor SumAll(const Tensor& x) {
   FOCUS_OP_INPUT_CHECK("SumAll", x);
-  double acc = 0.0;  // double accumulator for numerical robustness
-  const float* px = x.data();
   const int64_t n = x.numel();
-  for (int64_t i = 0; i < n; ++i) acc += px[i];
+  Tensor out = Tensor::Empty({1});
+  plan_hooks::RunStep("SumAll", {x}, out, [n](float* const* bufs) {
+    double acc = 0.0;  // double accumulator for numerical robustness
+    for (int64_t i = 0; i < n; ++i) acc += bufs[0][i];
+    bufs[1][0] = static_cast<float>(acc);
+  });
   FlopCounter::Add(n);
-  Tensor out = Tensor::Scalar(static_cast<float>(acc));
-  if (plan_hooks::CaptureActive()) {
-    plan_hooks::Record("SumAll", {x}, out, [n](float* const* bufs) {
-      const float* rx = bufs[0];
-      double racc = 0.0;
-      for (int64_t i = 0; i < n; ++i) racc += rx[i];
-      bufs[1][0] = static_cast<float>(racc);
-    });
-  }
   Shape xs = x.shape();
   return autograd::MakeResult(
       out, "SumAll", {x}, [xs](const Tensor& g) -> std::vector<Tensor> {
@@ -83,119 +78,68 @@ Tensor Sum(const Tensor& x, int64_t dim, bool keepdim) {
   // per-element accumulation order stays r-ascending, so outputs remain
   // bit-identical across thread counts.
   Tensor out = Tensor::Empty(out_shape);
-  const float* px = x.data();
-  float* po = out.data();
-  const simd::KernelTable& kt = simd::Kernels();
-  if (reduce == 0) {
-    std::fill_n(po, out.numel(), 0.0f);
-  } else if (inner == 1) {
-    // Reducing the innermost dim: each output is the sum of a
-    // contiguous row — the SIMD row_sum's fixed lane split applies.
-    const int64_t grain =
-        std::max<int64_t>(1, 16384 / std::max<int64_t>(1, reduce));
-    ParallelFor(0, outer, grain, [&](int64_t o0, int64_t o1) {
-      for (int64_t o = o0; o < o1; ++o) {
-        po[o] = kt.row_sum(px + o * reduce, reduce);
-      }
-    });
-  } else if (outer >= inner) {
-    // Shards own disjoint outer slices (disjoint output rows); the
-    // reduction stays r-ascending per element (vector add over inner).
-    const int64_t grain = std::max<int64_t>(
-        1, 16384 / std::max<int64_t>(1, reduce * inner));
-    ParallelFor(0, outer, grain, [&](int64_t o0, int64_t o1) {
-      for (int64_t o = o0; o < o1; ++o) {
-        float* orow = po + o * inner;
-        for (int64_t r = 0; r < reduce; ++r) {
-          const float* row = px + (o * reduce + r) * inner;
-          if (r == 0) {
-            std::memcpy(orow, row,
-                        static_cast<size_t>(inner) * sizeof(float));
-          } else {
-            kt.add_inplace(orow, row, inner);
-          }
+  const auto row_sum = simd::Kernels().row_sum;
+  const auto add_inplace = simd::Kernels().add_inplace;
+  plan_hooks::RunStep(
+      "Sum", {x}, out,
+      [row_sum, add_inplace, outer, inner, reduce,
+       out_numel = out.numel()](float* const* bufs) {
+        const float* px = bufs[0];
+        float* po = bufs[1];
+        if (reduce == 0) {
+          std::fill_n(po, out_numel, 0.0f);
+        } else if (inner == 1) {
+          // Reducing the innermost dim: each output is the sum of a
+          // contiguous row — the SIMD row_sum's fixed lane split applies.
+          const int64_t grain =
+              std::max<int64_t>(1, 16384 / std::max<int64_t>(1, reduce));
+          ParallelFor(0, outer, grain, [&](int64_t o0, int64_t o1) {
+            for (int64_t o = o0; o < o1; ++o) {
+              po[o] = row_sum(px + o * reduce, reduce);
+            }
+          });
+        } else if (outer >= inner) {
+          // Shards own disjoint outer slices (disjoint output rows); the
+          // reduction stays r-ascending per element (vector add over
+          // inner).
+          const int64_t grain = std::max<int64_t>(
+              1, 16384 / std::max<int64_t>(1, reduce * inner));
+          ParallelFor(0, outer, grain, [&](int64_t o0, int64_t o1) {
+            for (int64_t o = o0; o < o1; ++o) {
+              float* orow = po + o * inner;
+              for (int64_t r = 0; r < reduce; ++r) {
+                const float* row = px + (o * reduce + r) * inner;
+                if (r == 0) {
+                  std::memcpy(orow, row,
+                              static_cast<size_t>(inner) * sizeof(float));
+                } else {
+                  add_inplace(orow, row, inner);
+                }
+              }
+            }
+          });
+        } else {
+          // Shards own disjoint inner column ranges of every output row;
+          // the reduction stays r-ascending per element.
+          const int64_t grain = std::max<int64_t>(
+              1, 16384 / std::max<int64_t>(1, outer * reduce));
+          ParallelFor(0, inner, grain, [&](int64_t i0, int64_t i1) {
+            for (int64_t o = 0; o < outer; ++o) {
+              float* orow = po + o * inner;
+              for (int64_t r = 0; r < reduce; ++r) {
+                const float* row = px + (o * reduce + r) * inner;
+                if (r == 0) {
+                  std::memcpy(orow + i0, row + i0,
+                              static_cast<size_t>(i1 - i0) * sizeof(float));
+                } else {
+                  add_inplace(orow + i0, row + i0, i1 - i0);
+                }
+              }
+            }
+          });
         }
-      }
-    });
-  } else {
-    // Shards own disjoint inner column ranges of every output row; the
-    // reduction stays r-ascending per element.
-    const int64_t grain =
-        std::max<int64_t>(1, 16384 / std::max<int64_t>(1, outer * reduce));
-    ParallelFor(0, inner, grain, [&](int64_t i0, int64_t i1) {
-      for (int64_t o = 0; o < outer; ++o) {
-        float* orow = po + o * inner;
-        for (int64_t r = 0; r < reduce; ++r) {
-          const float* row = px + (o * reduce + r) * inner;
-          if (r == 0) {
-            std::memcpy(orow + i0, row + i0,
-                        static_cast<size_t>(i1 - i0) * sizeof(float));
-          } else {
-            kt.add_inplace(orow + i0, row + i0, i1 - i0);
-          }
-        }
-      }
-    });
-  }
+      });
   FlopCounter::Add(x.numel());
-  if (plan_hooks::CaptureActive()) {
-    const auto row_sum = kt.row_sum;
-    const auto add_inplace = kt.add_inplace;
-    const int64_t out_numel = out.numel();
-    plan_hooks::Record(
-        "Sum", {x}, out,
-        [row_sum, add_inplace, outer, inner, reduce,
-         out_numel](float* const* bufs) {
-          const float* rx = bufs[0];
-          float* ro = bufs[1];
-          if (reduce == 0) {
-            std::fill_n(ro, out_numel, 0.0f);
-          } else if (inner == 1) {
-            const int64_t grain =
-                std::max<int64_t>(1, 16384 / std::max<int64_t>(1, reduce));
-            ParallelFor(0, outer, grain, [&](int64_t o0, int64_t o1) {
-              for (int64_t o = o0; o < o1; ++o) {
-                ro[o] = row_sum(rx + o * reduce, reduce);
-              }
-            });
-          } else if (outer >= inner) {
-            const int64_t grain = std::max<int64_t>(
-                1, 16384 / std::max<int64_t>(1, reduce * inner));
-            ParallelFor(0, outer, grain, [&](int64_t o0, int64_t o1) {
-              for (int64_t o = o0; o < o1; ++o) {
-                float* orow = ro + o * inner;
-                for (int64_t r = 0; r < reduce; ++r) {
-                  const float* row = rx + (o * reduce + r) * inner;
-                  if (r == 0) {
-                    std::memcpy(orow, row,
-                                static_cast<size_t>(inner) * sizeof(float));
-                  } else {
-                    add_inplace(orow, row, inner);
-                  }
-                }
-              }
-            });
-          } else {
-            const int64_t grain = std::max<int64_t>(
-                1, 16384 / std::max<int64_t>(1, outer * reduce));
-            ParallelFor(0, inner, grain, [&](int64_t i0, int64_t i1) {
-              for (int64_t o = 0; o < outer; ++o) {
-                float* orow = ro + o * inner;
-                for (int64_t r = 0; r < reduce; ++r) {
-                  const float* row = rx + (o * reduce + r) * inner;
-                  if (r == 0) {
-                    std::memcpy(orow + i0, row + i0,
-                                static_cast<size_t>(i1 - i0) *
-                                    sizeof(float));
-                  } else {
-                    add_inplace(orow + i0, row + i0, i1 - i0);
-                  }
-                }
-              }
-            });
-          }
-        });
-  }
 
   Shape x_shape = xs;
   Shape keep_shape = xs;
@@ -217,55 +161,33 @@ Tensor Mean(const Tensor& x, int64_t dim, bool keepdim) {
 
 Tensor BroadcastTo(const Tensor& x, const Shape& shape) {
   FOCUS_OP_INPUT_CHECK("BroadcastTo", x);
-  if (x.shape() == shape) {
-    Tensor copy = x.Clone();
-    if (plan_hooks::CaptureActive()) {
-      const int64_t n = x.numel();
-      plan_hooks::Record("BroadcastTo", {x}, copy, [n](float* const* bufs) {
-        std::memcpy(bufs[1], bufs[0], static_cast<size_t>(n) * sizeof(float));
-      });
-    }
-    return copy;
-  }
   FOCUS_CHECK_LE(x.dim(), static_cast<int64_t>(shape.size()))
       << "BroadcastTo cannot reduce rank";
+  // Row sweep (SweepRows): the innermost read stride is 0 (that dim
+  // broadcasts: fill the row with one value) or 1 (a contiguous run).
   Tensor out = Tensor::Empty(shape);
-  const auto sx = internal_ops::BroadcastReadStrides(x.shape(), shape);
-  const auto so = internal_ops::Strides(shape);
-  const int64_t n = out.numel();
-  const int64_t rank = static_cast<int64_t>(shape.size());
-  const float* px = x.data();
-  float* po = out.data();
-  ParallelFor(0, n, 4096, [&](int64_t f0, int64_t f1) {
-    for (int64_t flat = f0; flat < f1; ++flat) {
-      int64_t rem = flat, ox = 0;
-      for (int64_t d = 0; d < rank; ++d) {
-        const int64_t idx = rem / so[d];
-        rem -= idx * so[d];
-        ox += idx * sx[d];
-      }
-      po[flat] = px[ox];
-    }
-  });
-  if (plan_hooks::CaptureActive()) {
-    plan_hooks::Record(
-        "BroadcastTo", {x}, out,
-        [sx, so, n, rank](float* const* bufs) {
-          const float* rx = bufs[0];
-          float* ro = bufs[1];
-          ParallelFor(0, n, 4096, [&](int64_t f0, int64_t f1) {
-            for (int64_t flat = f0; flat < f1; ++flat) {
-              int64_t rem = flat, ox = 0;
-              for (int64_t d = 0; d < rank; ++d) {
-                const int64_t idx = rem / so[d];
-                rem -= idx * so[d];
-                ox += idx * sx[d];
+  std::array<std::vector<int64_t>, 1> read = {
+      internal_ops::BroadcastReadStrides(x.shape(), shape)};
+  const int64_t m = shape.empty() ? 1 : shape.back();
+  const int64_t step = shape.empty() ? 1 : read[0].back();
+  plan_hooks::RunStep(
+      "BroadcastTo", {x}, out,
+      [so = internal_ops::Strides(shape), read = std::move(read),
+       n = out.numel(), m, step](float* const* bufs) {
+        internal_ops::SweepRows(
+            so, read, n, m,
+            [&](int64_t row, const std::array<int64_t, 1>& off) {
+              float* o = bufs[1] + row * m;
+              const float* src = bufs[0] + off[0];
+              if (step == 0) {
+                std::fill_n(o, m, *src);
+              } else {
+                std::memcpy(o, src, static_cast<size_t>(m) * sizeof(float));
               }
-              ro[flat] = rx[ox];
-            }
-          });
-        });
-  }
+            });
+      });
+  // An equal-shape BroadcastTo returns a plain copy with no grad_fn.
+  if (x.shape() == shape) return out;
 
   Shape xs = x.shape();
   return autograd::MakeResult(

@@ -1,5 +1,6 @@
 // Shape manipulation ops: reshape (aliasing), transpose/permute, slice,
 // concatenation, index-select; plus Tensor member conveniences.
+#include <array>
 #include <cstring>
 #include <numeric>
 
@@ -54,88 +55,53 @@ Tensor Permute(const Tensor& x, const std::vector<int64_t>& dims) {
   const int64_t rank = x.dim();
   FOCUS_CHECK_EQ(static_cast<int64_t>(dims.size()), rank);
   std::vector<bool> seen(static_cast<size_t>(rank), false);
+  std::vector<int64_t> perm(static_cast<size_t>(rank));
   Shape out_shape(static_cast<size_t>(rank));
   for (int64_t d = 0; d < rank; ++d) {
     const int64_t src = NormalizeDim(dims[static_cast<size_t>(d)], rank);
     FOCUS_CHECK(!seen[static_cast<size_t>(src)]) << "duplicate dim in Permute";
     seen[static_cast<size_t>(src)] = true;
+    perm[static_cast<size_t>(d)] = src;
     out_shape[static_cast<size_t>(d)] = x.size(src);
   }
 
+  // Pure data movement. Output element (i_0, ..., i_{r-1}) reads the
+  // source at sum_d i_d * in_strides[perm[d]], so every output row of
+  // `m` floats reads at a fixed stride `step` (the input stride of the
+  // axis that lands last): a memcpy when the permutation keeps the last
+  // axis, a strided gather otherwise.
   Tensor out = Tensor::Empty(out_shape);
   const auto in_strides = Strides(x.shape());
-  const auto out_strides = Strides(out_shape);
-  const float* px = x.data();
-  float* po = out.data();
-  const int64_t n = x.numel();
-  for (int64_t flat = 0; flat < n; ++flat) {
-    int64_t rem = flat, off = 0;
-    for (int64_t d = 0; d < rank; ++d) {
-      const int64_t idx = rem / out_strides[static_cast<size_t>(d)];
-      rem -= idx * out_strides[static_cast<size_t>(d)];
-      off +=
-          idx * in_strides[static_cast<size_t>(dims[static_cast<size_t>(d)])];
-    }
-    po[flat] = px[off];
+  std::vector<int64_t> read(static_cast<size_t>(rank));
+  for (int64_t d = 0; d < rank; ++d) {
+    read[static_cast<size_t>(d)] =
+        in_strides[static_cast<size_t>(perm[static_cast<size_t>(d)])];
   }
-
-  if (plan_hooks::CaptureActive()) {
-    // Pure data movement: any traversal produces the identical bytes,
-    // so the replay closure may use a faster one. Every output row of
-    // `inner` floats reads the source at a fixed stride `stride_in`
-    // (the input stride of whichever axis lands last), so the div/mod
-    // walk runs once per row, the inner sweep is a plain strided copy —
-    // a memcpy when the permutation keeps the last axis — and rows are
-    // independent, so the copy also shards across the pool.
-    const int64_t inner = rank > 0 ? x.size(dims[static_cast<size_t>(rank - 1)])
-                                   : 1;
-    const int64_t stride_in =
-        rank > 0 ? in_strides[static_cast<size_t>(
-                       dims[static_cast<size_t>(rank - 1)])]
-                 : 1;
-    plan_hooks::Record(
-        "Permute", {x}, out,
-        [in_strides, out_strides, dims, rank, n, inner,
-         stride_in](float* const* bufs) {
-          const float* rx = bufs[0];
-          float* ro = bufs[1];
-          if (rank == 0) {
-            ro[0] = rx[0];
-            return;
-          }
-          const int64_t rows = n / inner;
-          ParallelFor(
-              0, rows, plan_hooks::RowGrain(inner),
-              [&](int64_t r0, int64_t r1) {
-                for (int64_t row = r0; row < r1; ++row) {
-                  int64_t rem = row * inner, off = 0;
-                  for (int64_t d = 0; d + 1 < rank; ++d) {
-                    const int64_t idx =
-                        rem / out_strides[static_cast<size_t>(d)];
-                    rem -= idx * out_strides[static_cast<size_t>(d)];
-                    off += idx *
-                           in_strides[static_cast<size_t>(
-                               dims[static_cast<size_t>(d)])];
-                  }
-                  float* o = ro + row * inner;
-                  const float* src = rx + off;
-                  if (stride_in == 1) {
-                    std::memcpy(o, src,
-                                static_cast<size_t>(inner) * sizeof(float));
-                  } else {
-                    for (int64_t j = 0; j < inner; ++j) {
-                      o[j] = src[j * stride_in];
-                    }
-                  }
-                }
-              });
-        });
-  }
+  const int64_t m = rank > 0 ? out_shape.back() : 1;
+  const int64_t step = rank > 0 ? read.back() : 1;
+  plan_hooks::RunStep(
+      "Permute", {x}, out,
+      [so = Strides(out_shape), read = std::array{std::move(read)},
+       n = x.numel(), m, step](float* const* bufs) {
+        const float* rx = bufs[0];
+        float* ro = bufs[1];
+        internal_ops::SweepRows(
+            so, read, n, m,
+            [&](int64_t row, const std::array<int64_t, 1>& off) {
+              float* o = ro + row * m;
+              const float* src = rx + off[0];
+              if (step == 1) {
+                std::memcpy(o, src, static_cast<size_t>(m) * sizeof(float));
+              } else {
+                for (int64_t j = 0; j < m; ++j) o[j] = src[j * step];
+              }
+            });
+      });
 
   // Inverse permutation for backward.
   std::vector<int64_t> inverse(static_cast<size_t>(rank));
   for (int64_t d = 0; d < rank; ++d) {
-    inverse[static_cast<size_t>(dims[static_cast<size_t>(d)])] = d;
+    inverse[static_cast<size_t>(perm[static_cast<size_t>(d)])] = d;
   }
   return autograd::MakeResult(
       out, "Permute", {x}, [inverse](const Tensor& g) -> std::vector<Tensor> {
@@ -174,26 +140,14 @@ Tensor Slice(const Tensor& x, int64_t dim, int64_t start, int64_t end) {
   const int64_t len = end - start;
 
   Tensor out = Tensor::Empty(out_shape);
-  const float* px = x.data();
-  float* po = out.data();
-  for (int64_t o = 0; o < outer; ++o) {
-    std::memcpy(po + o * len * inner, px + (o * size + start) * inner,
-                static_cast<size_t>(len * inner) * sizeof(float));
-  }
-
-  if (plan_hooks::CaptureActive()) {
-    plan_hooks::Record(
-        "Slice", {x}, out,
-        [outer, size, start, inner, len](float* const* bufs) {
-          const float* rx = bufs[0];
-          float* ro = bufs[1];
-          for (int64_t o = 0; o < outer; ++o) {
-            std::memcpy(ro + o * len * inner,
-                        rx + (o * size + start) * inner,
-                        static_cast<size_t>(len * inner) * sizeof(float));
-          }
-        });
-  }
+  plan_hooks::RunStep(
+      "Slice", {x}, out, [outer, size, start, inner, len](float* const* bufs) {
+        for (int64_t o = 0; o < outer; ++o) {
+          std::memcpy(bufs[1] + o * len * inner,
+                      bufs[0] + (o * size + start) * inner,
+                      static_cast<size_t>(len * inner) * sizeof(float));
+        }
+      });
 
   Shape xs = x.shape();
   return autograd::MakeResult(
@@ -236,39 +190,23 @@ Tensor Cat(const std::vector<Tensor>& tensors, int64_t dim) {
     inner *= out_shape[static_cast<size_t>(d)];
   }
 
-  Tensor out = Tensor::Empty(out_shape);
-  float* po = out.data();
-  int64_t offset = 0;
   std::vector<int64_t> sizes;
-  for (const Tensor& t : tensors) {
-    const int64_t len = t.size(dim);
-    sizes.push_back(len);
-    const float* pt = t.data();
-    for (int64_t o = 0; o < outer; ++o) {
-      std::memcpy(po + (o * total + offset) * inner, pt + o * len * inner,
-                  static_cast<size_t>(len * inner) * sizeof(float));
-    }
-    offset += len;
-  }
-
-  if (plan_hooks::CaptureActive()) {
-    plan_hooks::Record(
-        "Cat", {tensors.begin(), tensors.end()}, out,
-        [sizes, outer, total, inner](float* const* bufs) {
-          float* ro = bufs[sizes.size()];
-          int64_t off = 0;
-          for (size_t t = 0; t < sizes.size(); ++t) {
-            const int64_t len = sizes[t];
-            const float* rt = bufs[t];
-            for (int64_t o = 0; o < outer; ++o) {
-              std::memcpy(ro + (o * total + off) * inner,
-                          rt + o * len * inner,
-                          static_cast<size_t>(len * inner) * sizeof(float));
-            }
-            off += len;
+  for (const Tensor& t : tensors) sizes.push_back(t.size(dim));
+  Tensor out = Tensor::Empty(out_shape);
+  plan_hooks::RunStep(
+      "Cat", tensors, out, [sizes, outer, total, inner](float* const* bufs) {
+        float* ro = bufs[sizes.size()];
+        int64_t off = 0;
+        for (size_t t = 0; t < sizes.size(); ++t) {
+          const int64_t len = sizes[t];
+          for (int64_t o = 0; o < outer; ++o) {
+            std::memcpy(ro + (o * total + off) * inner,
+                        bufs[t] + o * len * inner,
+                        static_cast<size_t>(len * inner) * sizeof(float));
           }
-        });
-  }
+          off += len;
+        }
+      });
 
   return autograd::MakeResult(
       out, "Cat", {tensors.begin(), tensors.end()},
@@ -302,32 +240,18 @@ Tensor IndexSelect(const Tensor& x, int64_t dim,
   const int64_t len = static_cast<int64_t>(indices.size());
 
   Tensor out = Tensor::Empty(out_shape);
-  const float* px = x.data();
-  float* po = out.data();
-  for (int64_t o = 0; o < outer; ++o) {
-    for (int64_t i = 0; i < len; ++i) {
-      std::memcpy(po + (o * len + i) * inner,
-                  px + (o * size + indices[static_cast<size_t>(i)]) * inner,
-                  static_cast<size_t>(inner) * sizeof(float));
-    }
-  }
-
-  if (plan_hooks::CaptureActive()) {
-    plan_hooks::Record(
-        "IndexSelect", {x}, out,
-        [indices, size, outer, inner, len](float* const* bufs) {
-          const float* rx = bufs[0];
-          float* ro = bufs[1];
-          for (int64_t o = 0; o < outer; ++o) {
-            for (int64_t i = 0; i < len; ++i) {
-              std::memcpy(
-                  ro + (o * len + i) * inner,
-                  rx + (o * size + indices[static_cast<size_t>(i)]) * inner,
-                  static_cast<size_t>(inner) * sizeof(float));
-            }
+  plan_hooks::RunStep(
+      "IndexSelect", {x}, out,
+      [indices, size, outer, inner, len](float* const* bufs) {
+        for (int64_t o = 0; o < outer; ++o) {
+          for (int64_t i = 0; i < len; ++i) {
+            std::memcpy(
+                bufs[1] + (o * len + i) * inner,
+                bufs[0] + (o * size + indices[static_cast<size_t>(i)]) * inner,
+                static_cast<size_t>(inner) * sizeof(float));
           }
-        });
-  }
+        }
+      });
 
   Shape xs = x.shape();
   return autograd::MakeResult(

@@ -10,10 +10,12 @@
 // offsets and per-call input pointers. Fusion is a property of the op
 // (e.g. SoftmaxLastDim's scale), so a plan inherits it from the record.
 //
-// Because the closure is built at the op site from the very code the
-// eager path just executed, a plan replay performs the identical IEEE
-// operations in the identical order: bit-identity with eager holds by
-// construction, for both SIMD backends and any thread count.
+// Most op sites go through RunStep: the eager path runs the closure
+// itself on the eager buffers, and the capture records that same
+// object, so a plan replay performs the identical IEEE operations in
+// the identical order — bit-identity with eager holds by construction,
+// for both SIMD backends and any thread count. The remaining sites
+// build their closure from the very code the eager path just executed.
 //
 // MakeResult() additionally notifies the sink of every op output; an
 // output the sink has never seen (an op without a record call, e.g.
@@ -97,9 +99,22 @@ inline void Record(const char* name, std::vector<Tensor> inputs,
   RecordStep(std::move(rec));
 }
 
-// Shard grain every elementwise op uses for ParallelFor, in its eager
-// sweep and its replay closure alike (identical grains keep
-// thread-count bit-identity).
+// Runs an op's kernel `fn` on the eager buffers, bound as a replay binds
+// them ([inputs..., output]), then records that same object as the
+// replay step when a capture is active: eager and planned execution
+// share one kernel body.
+template <typename Fn>
+void RunStep(const char* name, std::vector<Tensor> inputs, Tensor& out,
+             Fn fn) {
+  std::vector<float*> bufs;
+  bufs.reserve(inputs.size() + 1);
+  for (const Tensor& t : inputs) bufs.push_back(const_cast<float*>(t.data()));
+  bufs.push_back(out.data());
+  fn(bufs.data());
+  if (CaptureActive()) Record(name, std::move(inputs), out, std::move(fn));
+}
+
+// Shard grain every elementwise op uses for ParallelFor.
 inline constexpr int64_t kElemGrain = 16384;
 
 // Row-sharding grain for softmax/layernorm-style row kernels.

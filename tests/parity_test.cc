@@ -6,6 +6,7 @@
 // per-element floating-point accumulation order. The final test extends
 // the same contract to the SIMD dispatch axis: a training run must not
 // care which vector backend executed it.
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -66,6 +67,38 @@ std::vector<Tensor> ForwardBackward(
   std::vector<Tensor> result = {out};
   for (Tensor& t : inputs) result.push_back(t.Grad());
   return result;
+}
+
+// Row-major strides of `shape`, in elements.
+std::vector<int64_t> RowMajorStrides(const Shape& shape) {
+  std::vector<int64_t> strides(shape.size(), 1);
+  for (size_t d = shape.size(); d-- > 1;) {
+    strides[d - 1] = strides[d] * shape[d];
+  }
+  return strides;
+}
+
+// Offset into `in` (right-aligned, NumPy broadcasting) of output element
+// `flat` of shape `out`: the per-element index walk a naive kernel does.
+int64_t BroadcastOffset(const Shape& in, const Shape& out, int64_t flat) {
+  const std::vector<int64_t> out_strides = RowMajorStrides(out);
+  const std::vector<int64_t> in_strides = RowMajorStrides(in);
+  const size_t lead = out.size() - in.size();
+  int64_t off = 0;
+  for (size_t d = 0; d < out.size(); ++d) {
+    const int64_t idx = flat / out_strides[d];
+    flat -= idx * out_strides[d];
+    if (d >= lead && in[d - lead] != 1) off += idx * in_strides[d - lead];
+  }
+  return off;
+}
+
+void ExpectSameBytes(const Tensor& got, const std::vector<float>& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.numel(), static_cast<int64_t>(want.size())) << what;
+  EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                           want.size() * sizeof(float)))
+      << what;
 }
 
 TEST(ParityTest, MatMul2D) {
@@ -236,6 +269,153 @@ TEST(ParityTest, BroadcastBinary) {
                                      Tensor::Randn({33, 1}, rng)};
         });
   });
+}
+
+// Every axis order of a rank-4 tensor with odd extents, at 1 and 4
+// threads: the forward and the input gradient of SumAll(Permute(x) * w)
+// (w scattered back through the inverse permutation) must match a naive
+// per-element index walk byte for byte.
+TEST(ParityTest, PermuteEveryAxisOrder) {
+  const Shape shape = {9, 11, 13, 5};
+  const std::vector<int64_t> in_strides = RowMajorStrides(shape);
+  std::vector<int64_t> dims = {0, 1, 2, 3};
+  int orders = 0;
+  do {
+    Shape out_shape(4);
+    for (size_t d = 0; d < 4; ++d) {
+      out_shape[d] = shape[static_cast<size_t>(dims[d])];
+    }
+    Rng rng(21);
+    const Tensor x0 = Tensor::Randn(shape, rng);
+    const Tensor w = Tensor::Randn(out_shape, rng);
+    // Naive reference: output element flat reads x at sum_d i_d *
+    // in_strides[dims[d]]; the gradient scatters w the same way.
+    std::vector<float> want_out(static_cast<size_t>(x0.numel()));
+    std::vector<float> want_grad(want_out.size());
+    const std::vector<int64_t> out_strides = RowMajorStrides(out_shape);
+    for (int64_t flat = 0; flat < x0.numel(); ++flat) {
+      int64_t rem = flat, off = 0;
+      for (size_t d = 0; d < 4; ++d) {
+        const int64_t idx = rem / out_strides[d];
+        rem -= idx * out_strides[d];
+        off += idx * in_strides[static_cast<size_t>(dims[d])];
+      }
+      want_out[static_cast<size_t>(flat)] = x0.data()[off];
+      want_grad[static_cast<size_t>(off)] = w.data()[flat];
+    }
+    for (int threads : {1, 4}) {
+      ThreadPool::Global().Resize(threads);
+      Tensor x = x0.Clone().SetRequiresGrad(true);
+      Tensor out = Permute(x, dims);
+      ASSERT_EQ(out.shape(), out_shape);
+      SumAll(Mul(out, w)).Backward();
+      const std::string what = "order " + std::to_string(dims[0]) +
+                               std::to_string(dims[1]) +
+                               std::to_string(dims[2]) +
+                               std::to_string(dims[3]) + " at " +
+                               std::to_string(threads) + " threads";
+      ExpectSameBytes(out, want_out, "forward, " + what);
+      ExpectSameBytes(x.Grad(), want_grad, "grad, " + what);
+    }
+    ++orders;
+  } while (std::next_permutation(dims.begin(), dims.end()));
+  ThreadPool::Global().Resize(1);
+  EXPECT_EQ(orders, 24);
+}
+
+// Add/Sub/Mul/Div over the broadcast row shapes (vec-vec, vec-scalar,
+// scalar-vec; a scalar-scalar row would need both innermost extents 1
+// under a wider output, which broadcasting cannot produce), plus a
+// broadcast middle and a broadcast leading dim, at 1 and 4 threads. The
+// forward and the gradient of every operand that has the output's shape
+// must match a naive per-element reference byte for byte (the backward
+// of a full-shape operand is itself a broadcast binary op); the gradient
+// of a broadcast operand (a Sum reduction) must match across threads.
+TEST(ParityTest, BroadcastBinaryRowShapes) {
+  struct Case {
+    Shape a, b;
+  };
+  const std::vector<Case> cases = {
+      {{40, 1, 6}, {40, 50, 6}},   // vec-vec, broadcast middle dim
+      {{40, 50, 7}, {7}},          // vec-vec, broadcast leading dims
+      {{40, 50, 7}, {40, 50, 1}},  // vec-scalar
+      {{40, 50, 1}, {40, 50, 7}},  // scalar-vec
+      {{1, 50, 1}, {40, 1, 7}},    // scalar-vec, both operands broadcast
+  };
+  using OpFn = Tensor (*)(const Tensor&, const Tensor&);
+  const std::vector<std::pair<const char*, OpFn>> ops = {
+      {"Add", &Add}, {"Sub", &Sub}, {"Mul", &Mul}, {"Div", &Div}};
+  for (const Case& c : cases) {
+    const Shape out_shape = BroadcastShapes(c.a, c.b);
+    Rng rng(22);
+    const Tensor a0 = Tensor::Randn(c.a, rng);
+    // Keep the divisor away from zero.
+    const Tensor b0 = AddScalar(Abs(Tensor::Randn(c.b, rng)), 0.5f);
+    const Tensor w = Tensor::Randn(out_shape, rng);
+    const int64_t n = ShapeNumel(out_shape);
+    for (const auto& [name, op] : ops) {
+      const std::string op_name = name;
+      std::vector<float> want_out(static_cast<size_t>(n));
+      std::vector<float> want_ga(want_out.size());
+      std::vector<float> want_gb(want_out.size());
+      for (int64_t flat = 0; flat < n; ++flat) {
+        const float x = a0.data()[BroadcastOffset(c.a, out_shape, flat)];
+        const float y = b0.data()[BroadcastOffset(c.b, out_shape, flat)];
+        const float g = w.data()[flat];
+        const size_t i = static_cast<size_t>(flat);
+        if (op_name == "Add") {
+          want_out[i] = x + y;
+          want_ga[i] = g;
+          want_gb[i] = g;
+        } else if (op_name == "Sub") {
+          want_out[i] = x - y;
+          want_ga[i] = g;
+          want_gb[i] = -g;
+        } else if (op_name == "Mul") {
+          want_out[i] = x * y;
+          want_ga[i] = g * y;
+          want_gb[i] = g * x;
+        } else {
+          want_out[i] = x / y;
+          want_ga[i] = g / y;
+          const float num = g * x;
+          const float den = y * y;
+          want_gb[i] = -(num / den);
+        }
+      }
+      const std::vector<const std::vector<float>*> want_grads = {&want_ga,
+                                                                 &want_gb};
+      std::vector<Tensor> serial_grads;
+      for (int threads : {1, 4}) {
+        ThreadPool::Global().Resize(threads);
+        Tensor a = a0.Clone().SetRequiresGrad(true);
+        Tensor b = b0.Clone().SetRequiresGrad(true);
+        Tensor out = op(a, b);
+        ASSERT_EQ(out.shape(), out_shape);
+        SumAll(Mul(out, w)).Backward();
+        const std::string what = op_name + " " + ShapeToString(c.a) +
+                                 " with " + ShapeToString(c.b) + " at " +
+                                 std::to_string(threads) + " threads";
+        ExpectSameBytes(out, want_out, "forward, " + what);
+        const std::vector<Tensor> grads = {a.Grad(), b.Grad()};
+        for (size_t k = 0; k < grads.size(); ++k) {
+          const std::string gwhat = "grad " + std::to_string(k) + ", " + what;
+          if (grads[k].shape() == out_shape) {
+            ExpectSameBytes(grads[k], *want_grads[k], gwhat);
+          } else if (threads > 1) {
+            const Tensor& serial = serial_grads[k];
+            ExpectSameBytes(
+                grads[k],
+                std::vector<float>(serial.data(),
+                                   serial.data() + serial.numel()),
+                gwhat);
+          }
+        }
+        if (threads == 1) serial_grads = grads;
+      }
+    }
+  }
+  ThreadPool::Global().Resize(1);
 }
 
 TEST(ParityTest, SumOverEachAxis) {

@@ -250,6 +250,44 @@ TEST(TensorTest, TransposeAndPermute) {
   EXPECT_EQ(q.At({1, 1, 2}), p.At({1, 2, 1}));
 }
 
+// Zero-extent shapes flow through the row-sweep kernels (Permute and
+// broadcast binary ops) without touching a buffer or dividing by the
+// empty innermost extent, forward and backward.
+TEST(TensorTest, ZeroSizePermuteAndBroadcast) {
+  for (const Shape& shape : {Shape{2, 0, 3}, Shape{2, 3, 0}}) {
+    Tensor x = Tensor::Zeros(shape).SetRequiresGrad(true);
+    Tensor p = Permute(x, {2, 0, 1});
+    EXPECT_EQ(p.shape(), (Shape{shape[2], shape[0], shape[1]}));
+    EXPECT_EQ(p.numel(), 0);
+    SumAll(p).Backward();
+    EXPECT_EQ(x.Grad().shape(), shape);
+
+    Tensor y = Tensor::Zeros(shape).SetRequiresGrad(true);
+    Tensor t = Transpose(y, 0, 2);
+    EXPECT_EQ(t.shape(), (Shape{shape[2], shape[1], shape[0]}));
+    SumAll(t).Backward();
+    EXPECT_EQ(y.Grad().shape(), shape);
+  }
+
+  Tensor a = Tensor::Zeros({3, 0}).SetRequiresGrad(true);
+  Tensor s = Tensor::Ones({1}).SetRequiresGrad(true);
+  Tensor sum = Add(a, s);
+  EXPECT_EQ(sum.shape(), (Shape{3, 0}));
+  SumAll(sum).Backward();
+  EXPECT_EQ(a.Grad().shape(), (Shape{3, 0}));
+  EXPECT_EQ(s.Grad().shape(), (Shape{1}));
+  EXPECT_EQ(s.Grad().At({0}), 0.0f);
+
+  Tensor m = Tensor::Zeros({0, 4}).SetRequiresGrad(true);
+  Tensor v = Tensor::Ones({4}).SetRequiresGrad(true);
+  Tensor prod = Mul(m, v);
+  EXPECT_EQ(prod.shape(), (Shape{0, 4}));
+  SumAll(prod).Backward();
+  EXPECT_EQ(m.Grad().shape(), (Shape{0, 4}));
+  EXPECT_EQ(v.Grad().shape(), (Shape{4}));
+  for (int64_t i = 0; i < 4; ++i) EXPECT_EQ(v.Grad().At({i}), 0.0f);
+}
+
 TEST(TensorTest, SliceAndCat) {
   Tensor x = Tensor::Arange(12).Reshape({3, 4});
   Tensor s = Slice(x, 1, 1, 3);
