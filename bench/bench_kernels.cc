@@ -113,6 +113,30 @@ void BM_MatMulBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulBatched)->Args({32, 96, 64})->Args({8, 512, 64});
 
+// Narrow-output matmul at the serve_short (ETTh1) shapes, where n = 6 is
+// under one 8-lane vector: ProtoAttn's Eq. 16 scores C_Q K^T as
+// (16, 64) @ (7, 64, 6) (args m=16, batched_a=0) and the readout scores
+// as (7, 2, 64) @ (7, 64, 6) (m=2, batched_a=1). Every output column is
+// in the matmul kernel's column tail.
+void BM_MatMulNarrow(benchmark::State& state) {
+  const int64_t m = state.range(0);
+  const bool batched_a = state.range(1) != 0;
+  const int64_t batch = 7, k = 64, n = 6;
+  Rng rng(1);
+  Tensor a = batched_a ? Tensor::Randn({batch, m, k}, rng)
+                       : Tensor::Randn({m, k}, rng);
+  Tensor b = Tensor::Randn({batch, k, n}, rng);
+  NoGradGuard no_grad;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MatMul(a, b).data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * batch * m * k * n);
+  ReportGflops(state, 2 * batch * m * k * n);
+  ReportBytes(state, (a.numel() + b.numel() + batch * m * n) * 4);
+  ReportThreads(state);
+}
+BENCHMARK(BM_MatMulNarrow)->Args({16, 0})->Args({2, 1});
+
 void BM_Conv1d(benchmark::State& state) {
   const int64_t B = state.range(0), C = state.range(1), L = state.range(2);
   Rng rng(1);
@@ -438,7 +462,7 @@ int main(int argc, char** argv) {
   // strings must outlive Initialize (it keeps the pointers).
   static std::string smoke_filter =
       "--benchmark_filter="
-      "BM_MatMul/256$|BM_MatMulBatched/32/96/64$|"
+      "BM_MatMul/256$|BM_MatMulBatched/32/96/64$|BM_MatMulNarrow/16/0$|"
       "BM_Conv1d/16/32/96$|"
       "BM_LayerNormLastDim/3072/64$|BM_SoftmaxLastDim/128$|"
       "BM_ElementwiseExp/65536$|BM_ProtoAttnForward/64$|"

@@ -24,11 +24,12 @@
 #                  budget committed in bench/bench_quant.cc.
 #
 # An optional `perf` leg (not in the default matrix — it needs a quiet
-# machine) builds bench_kernels in Release, runs its --smoke subset
-# with --focus-bench-json, and gates ns/op against the committed baseline
-# results/BENCH_smoke_baseline.json via scripts/bench_diff.py. The
-# threshold is deliberately generous (50%) because CI containers share
-# cores; it catches order-of-magnitude regressions, not noise.
+# machine) builds bench_kernels in Release, runs its --smoke subset on a
+# one-thread pool with --focus-bench-json, and gates ns/op against the
+# committed baseline results/BENCH_smoke_baseline.json (recorded at
+# threads=1) via scripts/bench_diff.py. The threshold is deliberately
+# generous (50%) because CI containers share cores; it catches
+# order-of-magnitude regressions, not noise.
 #
 # Each leg uses its own build directory (build-check / build-asan /
 # build-tsan) so instrumented objects never mix. Sanitizer legs disable
@@ -158,8 +159,10 @@ run_leg_perf() {
   cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   note "build $dir (bench_kernels)"
   cmake --build "$dir" --target bench_kernels -j "$JOBS"
-  note "bench_kernels --smoke"
-  "$dir/bench/bench_kernels" --smoke \
+  # The baseline was recorded on a one-thread pool; pin the same size so
+  # pooled kernels are compared against like.
+  note "bench_kernels --smoke (FOCUS_NUM_THREADS=1)"
+  FOCUS_NUM_THREADS=1 "$dir/bench/bench_kernels" --smoke \
     --focus-bench-json="$dir/BENCH_smoke.json"
   note "bench_diff vs results/BENCH_smoke_baseline.json"
   python3 scripts/bench_diff.py results/BENCH_smoke_baseline.json \

@@ -8,7 +8,6 @@
 // added once, outside the parallel regions.
 #include <array>
 #include <cmath>
-#include <functional>
 
 #include "parallel/thread_pool.h"
 #include "tensor/autograd.h"
@@ -99,10 +98,10 @@ Tensor BinaryKernel(const Tensor& a, const Tensor& b, const char* name,
 }
 
 // Unary op scaffold: forward applies `f`; backward multiplies the incoming
-// gradient by df(x, y) where y = f(x).
-Tensor UnaryOp(const Tensor& x, const char* name,
-               const std::function<float(float)>& f,
-               const std::function<float(float, float)>& df) {
+// gradient by df(x, y) where y = f(x). Templated on the functors so the
+// per-element call inlines.
+template <typename F, typename DF>
+Tensor UnaryOp(const Tensor& x, const char* name, F f, DF df) {
   Tensor out = Tensor::Empty(x.shape());
   const int64_t n = x.numel();
   plan_hooks::RunStep(name, {x}, out, [f, n](float* const* bufs) {

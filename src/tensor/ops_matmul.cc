@@ -1,9 +1,10 @@
 // Matrix multiplication with batch broadcasting, plus its backward pass.
 //
 // The forward kernel is cache-blocked (MC-row tasks) and routed through
-// the SIMD layer's matmul_row_block kernel (src/tensor/simd): a 4×8 C
-// tile lives in FMA registers for the whole k loop, so C is written
-// exactly once per element. Work is split over the batch×row-block grid
+// the SIMD layer's matmul_row_block kernel (src/tensor/simd): a 4×16 C
+// tile (8-wide and masked panels for the last columns) lives in FMA
+// registers for the whole k loop, so C is written exactly once per
+// element. Work is split over the batch×row-block grid
 // via ParallelFor. For every output element the reduction over k runs
 // as one ascending FMA chain regardless of tiling, thread count, or
 // backend, so results are bit-identical for any FOCUS_NUM_THREADS and
@@ -25,7 +26,7 @@ namespace focus {
 namespace {
 
 // MC rows of A per task keeps the A panel L2-resident and sizes the
-// parallel grid; the 4×8 register micro-tile lives in
+// parallel grid; the 4×16 register micro-tile lives in
 // simd::KernelTable::matmul_row_block.
 constexpr int64_t kBlockM = 64;  // MC: A/C rows per parallel task
 

@@ -27,6 +27,17 @@ struct M8 {
 
 inline V8 LoadU(const float* p) { return {_mm256_loadu_ps(p)}; }
 inline void StoreU(float* p, V8 a) { _mm256_storeu_ps(p, a.r); }
+// Lanes [0, cols) set: vmaskmovps neither reads nor writes the others.
+inline __m256i LaneMask(int64_t cols) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(cols)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+inline V8 LoadN(const float* p, int64_t cols) {
+  return {_mm256_maskload_ps(p, LaneMask(cols))};
+}
+inline void StoreN(float* p, V8 a, int64_t cols) {
+  _mm256_maskstore_ps(p, LaneMask(cols), a.r);
+}
 
 inline V8 Add(V8 a, V8 b) { return {_mm256_add_ps(a.r, b.r)}; }
 inline V8 Sub(V8 a, V8 b) { return {_mm256_sub_ps(a.r, b.r)}; }

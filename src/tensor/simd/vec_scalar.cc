@@ -32,6 +32,14 @@ inline V8 LoadU(const float* p) {
   return r;
 }
 inline void StoreU(float* p, V8 a) { std::memcpy(p, a.v, sizeof(a.v)); }
+inline V8 LoadN(const float* p, int64_t cols) {
+  V8 r = {};
+  for (int64_t i = 0; i < cols; ++i) r.v[i] = p[i];
+  return r;
+}
+inline void StoreN(float* p, V8 a, int64_t cols) {
+  for (int64_t i = 0; i < cols; ++i) p[i] = a.v[i];
+}
 
 inline V8 Add(V8 a, V8 b) {
   V8 r;

@@ -5,7 +5,8 @@
 //      scalar backends produce byte-identical outputs, including the odd
 //      tails (n = 1..17 crosses every lane-remainder case twice) and a
 //      large buffer. This is what makes FOCUS_SIMD a pure acceleration
-//      knob rather than a numerics knob.
+//      knob rather than a numerics knob. The matmul micro-kernel is also
+//      checked per backend against its naive FMA-chain reference.
 //   2. Accuracy: the shared polynomial transcendentals stay within 4 ULP
 //      of double-precision libm rounded to float across their full
 //      argument ranges (exp over [-88, 88], tanh/erf over [-10, 10]).
@@ -201,8 +202,8 @@ TEST_F(SimdBitIdentityTest, MatMulRowBlock) {
   struct Dims {
     int64_t m, k, n;
   };
-  // Covers the full 4x8 tile, the 1x8 row remainder, the scalar column
-  // remainder, and degenerate edges.
+  // Covers the 4x16 and 4x8 tiles, the 2- and 1-row remainders, the
+  // masked column tail, and degenerate edges.
   const Dims kDims[] = {{4, 16, 8}, {5, 13, 11}, {3, 7, 17},
                         {1, 1, 1},  {6, 9, 3},   {9, 33, 24}};
   for (const Dims& d : kDims) {
@@ -215,6 +216,68 @@ TEST_F(SimdBitIdentityTest, MatMulRowBlock) {
         d.m * d.n,
         "matmul_row_block m=" + std::to_string(d.m) +
             " k=" + std::to_string(d.k) + " n=" + std::to_string(d.n));
+  }
+}
+
+// Each backend's matmul_row_block against the naive reference: every
+// C element is one k-ascending std::fma chain from 0, so the kernel must
+// match it bit for bit on every tile shape and column tail. (Comparing
+// the backends with each other would pass a change that moved both.)
+// C rows are contiguous (the kernel's row stride is n), so canaries fill
+// everything outside the block: before its first row (i0 > 0) and after
+// its last. Every row of a panel stores with the same lane count, so an
+// overrun on any row also shows past the block's last row. The last A
+// row starts with -Inf: a masked-out lane that is computed (0 * -Inf =
+// NaN) and leaks into a store breaks the memcmp.
+class SimdMatMulReferenceTest : public ::testing::Test {
+ protected:
+  void TearDown() override { simd::ReinitFromEnv(); }
+};
+
+TEST_F(SimdMatMulReferenceTest, RowBlockMatchesAscendingFmaChain) {
+  std::vector<simd::Backend> backends = {simd::Backend::kScalar};
+  if (simd::Avx2Available()) backends.push_back(simd::Backend::kAvx2);
+  const int64_t kNs[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11, 12,
+                         13, 14, 15, 16, 17, 23, 24, 31, 32, 33, 64};
+  const int64_t kKs[] = {1, 6, 64};
+  constexpr int64_t kCanaryN = 9;  // floats past the last C row
+  constexpr float kCanary = -12345.5f;
+  struct Block {
+    int64_t i0, i1;
+  };
+  std::vector<Block> blocks;
+  for (int64_t m = 1; m <= 9; ++m) blocks.push_back({0, m});
+  blocks.push_back({3, 9});
+  for (simd::Backend backend : backends) {
+    ASSERT_TRUE(simd::SetBackend(backend));
+    const simd::KernelTable& kt = simd::Kernels();
+    for (int64_t k : kKs) {
+      for (int64_t n : kNs) {
+        for (const Block& blk : blocks) {
+          auto a = TestVec(blk.i1 * k, 14);
+          a[static_cast<size_t>((blk.i1 - 1) * k)] = -INFINITY;
+          const auto b = TestVec(k * n, 15);
+          const size_t c_n = static_cast<size_t>(blk.i1 * n + kCanaryN);
+          std::vector<float> want(c_n, kCanary);
+          for (int64_t i = blk.i0; i < blk.i1; ++i) {
+            for (int64_t j = 0; j < n; ++j) {
+              float s = 0.0f;
+              for (int64_t kk = 0; kk < k; ++kk)
+                s = std::fma(a[static_cast<size_t>(i * k + kk)],
+                             b[static_cast<size_t>(kk * n + j)], s);
+              want[static_cast<size_t>(i * n + j)] = s;
+            }
+          }
+          std::vector<float> got(c_n, kCanary);
+          kt.matmul_row_block(a.data(), b.data(), got.data(), blk.i0,
+                              blk.i1, k, n);
+          ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                   c_n * sizeof(float)))
+              << kt.name << " matmul_row_block rows [" << blk.i0 << ", "
+              << blk.i1 << ") k=" << k << " n=" << n;
+        }
+      }
+    }
   }
 }
 
