@@ -7,9 +7,10 @@
 // all-pairs terms grow super-linearly.
 //
 // The per-component section attributes FLOPs / peak memory / wall-clock to
-// the embed / branch / fusion spans via obs::TraceSpan and cross-checks the
-// FLOP numbers against the legacy FlopCounter::Breakdown() region path
-// (they must agree within 1%).
+// the embed / branch / fusion spans via obs::TraceSpan self-FLOPs, and
+// exits nonzero unless they account for the forward exactly: the root
+// span's FLOPs equal the forward's FlopScope delta, the non-kernel spans'
+// self-FLOPs sum to the root's FLOPs, and every focus/* stage is nonzero.
 //
 // --bench-json=<path> additionally records every (model, L) latency/FLOP
 // probe in the unified bench-result schema (obs/bench_report.h) so
@@ -18,7 +19,6 @@
 // section (src/plan execution path) in the same schema; the committed
 // recording lives at results/BENCH_plan.json.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "core/planned_forecaster.h"
@@ -166,45 +166,51 @@ int main(int argc, char** argv) {
                 plan_json.c_str(), plan_report.entries.size());
   }
 
-  // FOCUS per-component attribution via obs::TraceSpan, cross-checked
-  // against the legacy FlopCounter::Breakdown() region path.
-  std::printf("\nFOCUS per-component breakdown (TraceSpan vs legacy):\n");
+  // FOCUS per-component attribution via obs::TraceSpan self-FLOPs, checked
+  // to account for the whole forward with nothing lost or counted twice.
+  std::printf("\nFOCUS per-component breakdown (TraceSpan self-FLOPs):\n");
   auto& tracer = obs::Tracer::Get();
   const bool was_enabled = tracer.enabled();
   tracer.Enable();
-  bool parity_ok = true;
-  Table breakdown({"L", "Component", "FLOPs(M)", "Legacy(M)", "Delta(%)",
-                   "PeakMem(MB)", "Wall(ms)"});
+  bool identity_ok = true;
+  Table breakdown({"L", "Component", "FLOPs(M)", "PeakMem(MB)", "Wall(ms)"});
   for (int64_t length : {96, 384, 768}) {
     auto model = harness::BuildModel("FOCUS", data, length, horizon, profile);
+    model->SetTraining(false);
     Tensor sample = Tensor::Randn({1, n, length}, rng);
     tracer.Clear();
-    metrics::ProbeEfficiency(*model, sample);
-    const auto legacy = FlopCounter::Breakdown();
-    for (const auto& [name, stats] : obs::AggregateSpans(tracer.Snapshot())) {
+    int64_t forward_flops = 0;
+    {
+      InferenceModeGuard inference;
+      obs::TraceSpan root("fig6/forward");
+      FlopScope scope;
+      model->Forward(sample);
+      forward_flops = scope.Elapsed();
+    }
+    const std::vector<obs::SpanEvent> events = tracer.Snapshot();
+    int64_t root_flops = -1, self_sum = 0;
+    for (const obs::SpanEvent& ev : events) {
+      if (ev.name == "fig6/forward") root_flops = ev.flops;
+      if (ev.name.rfind("kernel/", 0) != 0) self_sum += ev.self_flops;
+    }
+    if (root_flops != forward_flops || self_sum != root_flops) {
+      identity_ok = false;
+    }
+    int stages = 0;
+    for (const auto& [name, stats] : obs::AggregateSpans(events)) {
       if (name.rfind("focus/", 0) != 0) continue;
-      double legacy_flops = 0.0;
-      for (const auto& [region, flops] : legacy) {
-        if (region == name) legacy_flops = static_cast<double>(flops);
-      }
-      const double span_flops = static_cast<double>(stats.self_flops);
-      const double delta_pct =
-          legacy_flops > 0.0
-              ? 100.0 * std::fabs(span_flops - legacy_flops) / legacy_flops
-              : (span_flops > 0.0 ? 100.0 : 0.0);
-      if (delta_pct > 1.0) parity_ok = false;
+      if (stats.self_flops > 0) ++stages;
       breakdown.AddRow({std::to_string(length), name,
-                        Table::Num(span_flops / 1e6, 2),
-                        Table::Num(legacy_flops / 1e6, 2),
-                        Table::Num(delta_pct, 3),
+                        Table::Num(stats.self_flops / 1e6, 2),
                         Table::Num(stats.peak_bytes / (1024.0 * 1024.0), 2),
                         Table::Num(stats.wall_us / 1e3, 2)});
     }
+    if (stages != 5) identity_ok = false;
   }
   if (!was_enabled) tracer.Disable();
   std::printf("%s", breakdown.ToAscii().c_str());
-  std::printf("span/legacy FLOP parity (<=1%%): %s\n",
-              parity_ok ? "OK" : "MISMATCH");
+  std::printf("span self-FLOPs sum to the forward's FLOPs: %s\n",
+              identity_ok ? "OK" : "MISMATCH");
   if (!bench_json.empty()) {
     const Status status = obs::WriteBenchReport(bench_report, bench_json);
     if (!status.ok()) {
@@ -214,5 +220,5 @@ int main(int argc, char** argv) {
     std::printf("bench report written to %s (%zu entries)\n",
                 bench_json.c_str(), bench_report.entries.size());
   }
-  return parity_ok ? 0 : 1;
+  return identity_ok ? 0 : 1;
 }

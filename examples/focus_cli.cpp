@@ -55,10 +55,8 @@ int Usage() {
       "[--lookback=192] [--horizon=96]\n"
       "           [--entity=0] [--window=-1]\n"
       "common flags:\n"
-      "  --trace[=FILE]              write a span trace on exit "
+      "  --trace[=FILE]              write a Chrome span trace on exit "
       "(default trace.json)\n"
-      "  --trace-format=chrome|jsonl override the format inferred from the "
-      "file suffix\n"
       "  --report                    print a top-span run report on exit\n"
       "  --report-json=FILE          also write the run report as JSON\n");
   return 2;

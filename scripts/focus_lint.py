@@ -26,12 +26,11 @@ repo rules — correctness contracts from the parallel-kernel layer:
                      vector code through simd::KernelTable, which is what
                      keeps the scalar backend and the FOCUS_SIMD=OFF build
                      bit-identical; there is no NOLINT escape.
-  perf-containment   perf_event_open / raw syscall() calls are confined to
-                     src/obs/prof/. Everything else reads hardware counters
-                     through obs::prof::PerfCounters, which owns the single
-                     degradation path (zeroed counters + one warning) on
-                     hosts where the syscall is unavailable; no NOLINT
-                     escape.
+  perf-containment   perf_event_open / raw syscall() calls are banned
+                     everywhere. The repo has no hardware-counter layer
+                     (FLOP attribution is TraceSpan self-FLOPs), so no
+                     call site remains; adding one is a design change, not
+                     a lint exception. No NOLINT escape.
   plan-containment   SlabLease (the execution-plan slab) is confined to
                      src/plan/ and its definition in tensor/allocator.h.
                      Slab offsets alias each other by design; only the plan
@@ -205,17 +204,14 @@ def check_raw_float_new(path, raw, code):
 
 
 def check_perf_containment(path, raw, code):
-    # perf_event_open has exactly one wrapper (obs/prof/perf_counters.cc):
-    # it owns fd lifetime, multiplex scaling, and the degrade-to-zeroes
-    # path. A second call site would fork that error handling, so raw
-    # syscalls are banned outside src/obs/prof/ with no NOLINT escape.
-    rel = str(path.relative_to(REPO_ROOT)).replace("\\", "/")
-    if rel.startswith("src/obs/prof/"):
-        return
+    # The repo reads no hardware counters (per-component cost is TraceSpan
+    # self-FLOPs), so perf_event_open / raw syscall() have no legitimate
+    # call site. Banned everywhere, with no NOLINT escape.
     for m in re.finditer(r"\bperf_event_open\b|\bsyscall\s*\(", code):
         report(path, line_of(code, m.start()), "perf-containment",
-               f"'{m.group(0).strip()}' outside src/obs/prof/; read hardware "
-               "counters through obs::prof::PerfCounters")
+               f"'{m.group(0).strip()}' is banned; the repo reads no "
+               "hardware counters (FLOP attribution is TraceSpan "
+               "self-FLOPs)")
 
 
 def check_plan_containment(path, raw, code):

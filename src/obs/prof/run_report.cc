@@ -39,14 +39,9 @@ void AppendRowJson(std::string& out, const RunReportRow& row) {
   out += ",\"wall_us\":" + std::to_string(row.wall_us);
   out += ",\"flops\":" + std::to_string(row.flops);
   out += ",\"alloc_bytes\":" + std::to_string(row.alloc_bytes);
-  out += ",\"cycles\":" + std::to_string(row.cycles);
-  out += ",\"instructions\":" + std::to_string(row.instructions);
-  out += ",\"cache_misses\":" + std::to_string(row.cache_misses);
-  out += ",\"branch_misses\":" + std::to_string(row.branch_misses);
   out += ",\"planned\":" + std::to_string(row.planned);
   out += ",\"gflops\":" + FormatDouble(row.gflops);
   out += ",\"arith_intensity\":" + FormatDouble(row.arith_intensity);
-  out += ",\"ipc\":" + FormatDouble(row.ipc);
   out += "}";
 }
 
@@ -64,7 +59,7 @@ void AppendRowsJson(std::string& out, const char* key,
 
 Table RowsTable(const std::vector<RunReportRow>& rows) {
   Table table({"Span", "Count", "Planned", "Wall(ms)", "FLOPs(M)",
-               "GFLOP/s", "Bytes(MB)", "AI(F/B)", "IPC"});
+               "GFLOP/s", "Bytes(MB)", "AI(F/B)"});
   for (const RunReportRow& row : rows) {
     table.AddRow({row.name, std::to_string(row.count),
                   std::to_string(row.planned),
@@ -74,8 +69,7 @@ Table RowsTable(const std::vector<RunReportRow>& rows) {
                   Table::Num(static_cast<double>(row.alloc_bytes) /
                                  (1024.0 * 1024.0),
                              2),
-                  Table::Num(row.arith_intensity, 3),
-                  Table::Num(row.ipc, 2)});
+                  Table::Num(row.arith_intensity, 3)});
   }
   return table;
 }
@@ -133,11 +127,6 @@ double ArithmeticIntensity(const SpanEvent& ev) {
                    static_cast<double>(ev.alloc_bytes));
 }
 
-double Ipc(const SpanEvent& ev) {
-  return SafeRatio(static_cast<double>(ev.instructions),
-                   static_cast<double>(ev.cycles));
-}
-
 double AchievedGflops(const SpanStats& stats) {
   return SafeRatio(static_cast<double>(stats.flops),
                    static_cast<double>(stats.wall_us) * 1e3);
@@ -146,11 +135,6 @@ double AchievedGflops(const SpanStats& stats) {
 double ArithmeticIntensity(const SpanStats& stats) {
   return SafeRatio(static_cast<double>(stats.flops),
                    static_cast<double>(stats.alloc_bytes));
-}
-
-double Ipc(const SpanStats& stats) {
-  return SafeRatio(static_cast<double>(stats.instructions),
-                   static_cast<double>(stats.cycles));
 }
 
 RunReport BuildRunReport(const std::vector<SpanEvent>& events, int top_n) {
@@ -162,14 +146,9 @@ RunReport BuildRunReport(const std::vector<SpanEvent>& events, int top_n) {
     row.wall_us = stats.wall_us;
     row.flops = stats.flops;
     row.alloc_bytes = stats.alloc_bytes;
-    row.cycles = stats.cycles;
-    row.instructions = stats.instructions;
-    row.cache_misses = stats.cache_misses;
-    row.branch_misses = stats.branch_misses;
     row.planned = stats.planned;
     row.gflops = AchievedGflops(stats);
     row.arith_intensity = ArithmeticIntensity(stats);
-    row.ipc = Ipc(stats);
     rows.push_back(std::move(row));
   }
   RunReport report;

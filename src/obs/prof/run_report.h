@@ -8,9 +8,6 @@
 //                          tensor byte allocated in the span — the byte-
 //                          traffic proxy; see DESIGN.md §9 for why logical
 //                          allocation traffic, not DRAM traffic)
-//   IPC                  = instructions / cycles    (zero without
-//                          FOCUS_PERF_COUNTERS=1 or on hosts where
-//                          perf_event_open fails)
 //
 // The report ranks the top-N spans by inclusive wall-clock, by FLOPs, and
 // by allocated bytes — the three axes a serving/plan PR will optimize —
@@ -42,10 +39,8 @@ namespace prof {
 // (return 0). Aggregate overloads use summed stats.
 double AchievedGflops(const SpanEvent& ev);
 double ArithmeticIntensity(const SpanEvent& ev);
-double Ipc(const SpanEvent& ev);
 double AchievedGflops(const SpanStats& stats);
 double ArithmeticIntensity(const SpanStats& stats);
-double Ipc(const SpanStats& stats);
 
 // One aggregated span name with its roofline attribution.
 struct RunReportRow {
@@ -54,16 +49,11 @@ struct RunReportRow {
   int64_t wall_us = 0;
   int64_t flops = 0;
   int64_t alloc_bytes = 0;
-  int64_t cycles = 0;
-  int64_t instructions = 0;
-  int64_t cache_misses = 0;
-  int64_t branch_misses = 0;
   // How many of the aggregated events ran on a compiled execution plan
   // (src/plan); count == planned means the span is fully planned.
   int64_t planned = 0;
   double gflops = 0.0;
   double arith_intensity = 0.0;
-  double ipc = 0.0;
 };
 
 struct RunReport {

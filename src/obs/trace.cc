@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "obs/metrics_registry.h"
-#include "obs/prof/perf_counters.h"
 #include "obs/prof/run_report.h"
 #include "tensor/allocator.h"
 #include "tensor/flops.h"
@@ -53,8 +52,7 @@ void KernelBeginHook(const char* name) {
   const int rate = Tracer::Get().kernel_sample_rate();
   if (rate > 0 && state.kernel_counter++ % static_cast<uint64_t>(rate) == 0) {
     TraceSpan::Options options;
-    options.attribute_flop_region = false;  // don't steal region attribution
-    options.counts_toward_parent = false;   // sampled: keep parents honest
+    options.counts_toward_parent = false;  // sampled: keep parents honest
     span = std::make_unique<TraceSpan>(name, options);
   }
   state.kernel_spans.push_back(std::move(span));
@@ -108,15 +106,6 @@ void AppendSpanArgs(std::string& out, const SpanEvent& ev) {
   out += ",\"gflops\":" + FormatDouble(prof::AchievedGflops(ev));
   out += ",\"arith_intensity\":" +
          FormatDouble(prof::ArithmeticIntensity(ev));
-  // Hardware-counter fields only when FOCUS_PERF_COUNTERS asked for them
-  // (zeroed when the syscall is unavailable — see perf_counters.h).
-  if (prof::CountersRequested()) {
-    out += ",\"cycles\":" + std::to_string(ev.cycles);
-    out += ",\"instructions\":" + std::to_string(ev.instructions);
-    out += ",\"cache_misses\":" + std::to_string(ev.cache_misses);
-    out += ",\"branch_misses\":" + std::to_string(ev.branch_misses);
-    out += ",\"ipc\":" + FormatDouble(prof::Ipc(ev));
-  }
 }
 
 void AppendHistogramJson(std::string& out,
@@ -182,49 +171,6 @@ std::string RenderChromeTrace(const std::vector<SpanEvent>& events) {
   return out;
 }
 
-std::string RenderJsonl(const std::vector<SpanEvent>& events) {
-  std::string out;
-  out.reserve(events.size() * 160 + 1024);
-  for (const SpanEvent& ev : events) {
-    out += "{\"type\":\"span\",\"name\":\"";
-    AppendEscaped(out, ev.name);
-    out += "\",\"ts_us\":" + std::to_string(ev.ts_us) + ",";
-    AppendSpanArgs(out, ev);
-    out += "}\n";
-  }
-  const MetricsRegistry& registry = MetricsRegistry::Get();
-  for (const auto& [name, value] : registry.Counters()) {
-    out += "{\"type\":\"counter\",\"name\":\"";
-    AppendEscaped(out, name);
-    out += "\",\"value\":" + std::to_string(value) + "}\n";
-  }
-  for (const auto& [name, value] : registry.Gauges()) {
-    out += "{\"type\":\"gauge\",\"name\":\"";
-    AppendEscaped(out, name);
-    out += "\",\"value\":" + FormatDouble(value) + "}\n";
-  }
-  for (const auto& [name, summary] : registry.Histograms()) {
-    out += "{\"type\":\"histogram\",\"name\":\"";
-    AppendEscaped(out, name);
-    out += "\",\"summary\":";
-    AppendHistogramJson(out, summary);
-    out += "}\n";
-  }
-  return out;
-}
-
-TraceFormat FormatForPath(const std::string& path) {
-  const std::string fmt = GetEnvOr("FOCUS_TRACE_FORMAT", "");
-  if (fmt == "jsonl") return TraceFormat::kJsonl;
-  if (fmt == "chrome") return TraceFormat::kChromeTrace;
-  const std::string suffix = ".jsonl";
-  if (path.size() >= suffix.size() &&
-      path.compare(path.size() - suffix.size(), suffix.size(), suffix) == 0) {
-    return TraceFormat::kJsonl;
-  }
-  return TraceFormat::kChromeTrace;
-}
-
 }  // namespace
 
 std::vector<std::pair<std::string, SpanStats>> AggregateSpans(
@@ -251,10 +197,6 @@ std::vector<std::pair<std::string, SpanStats>> AggregateSpans(
     stats->alloc_hits += ev.alloc_hits;
     stats->alloc_misses += ev.alloc_misses;
     stats->alloc_bytes += ev.alloc_bytes;
-    stats->cycles += ev.cycles;
-    stats->instructions += ev.instructions;
-    stats->cache_misses += ev.cache_misses;
-    stats->branch_misses += ev.branch_misses;
     stats->planned += ev.planned ? 1 : 0;
   }
   return out;
@@ -263,13 +205,14 @@ std::vector<std::pair<std::string, SpanStats>> AggregateSpans(
 Tracer& Tracer::Get() {
   // Leaked singleton (never destroyed) so the atexit flush and spans in
   // static destructors stay safe. First use applies FOCUS_TRACE /
-  // FOCUS_OBS_KERNEL_SAMPLE from the environment.
+  // FOCUS_OBS_KERNEL_SAMPLE from the environment (0 turns kernel spans
+  // off).
   static Tracer* tracer = [] {
     Tracer* t = new Tracer();
     t->kernel_sample_ = static_cast<int>(GetEnvIntInRangeOr(
-        "FOCUS_OBS_KERNEL_SAMPLE", t->kernel_sample_, 1, 1 << 20));
+        "FOCUS_OBS_KERNEL_SAMPLE", t->kernel_sample_, 0, 1 << 20));
     const std::string path = GetEnvOr("FOCUS_TRACE", "");
-    if (!path.empty()) t->SetOutput(path, FormatForPath(path));
+    if (!path.empty()) t->SetOutput(path);
     // FOCUS_REPORT_JSON: end-of-run roofline report, independent of
     // FOCUS_TRACE. Enable() on the local pointer — Tracer::Get() must not
     // re-enter its own initialization.
@@ -289,11 +232,10 @@ void Tracer::Disable() {
   SetKernelProfileHooks({});
 }
 
-void Tracer::SetOutput(const std::string& path, TraceFormat format) {
+void Tracer::SetOutput(const std::string& path) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     path_ = path;
-    format_ = format;
     if (!path_.empty() && !atexit_registered_) {
       atexit_registered_ = true;
       std::atexit([] {
@@ -328,28 +270,19 @@ std::string Tracer::output_path() const {
   return path_;
 }
 
-TraceFormat Tracer::format() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return format_;
-}
-
 Status Tracer::Flush() {
   std::vector<SpanEvent> events;
   std::string path;
-  TraceFormat format;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (path_.empty()) return Status::Ok();
     events = events_;
     path = path_;
-    format = format_;
   }
   // Exports embed the MetricsRegistry; refresh the allocator mirror first
   // so "alloc/*" counters in the file match the allocator at flush time.
   PublishAllocatorMetrics();
-  const std::string payload = format == TraceFormat::kChromeTrace
-                                  ? RenderChromeTrace(events)
-                                  : RenderJsonl(events);
+  const std::string payload = RenderChromeTrace(events);
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return Status::IoError("cannot open trace file " + path);
   const bool ok =
@@ -360,10 +293,6 @@ Status Tracer::Flush() {
 }
 
 TraceSpan::TraceSpan(const char* name, Options options) : name_(name) {
-  if (options.attribute_flop_region) {
-    prev_region_ = internal_flops::SetRegion(name);
-    region_set_ = true;
-  }
   if (!TracingEnabled()) return;
   active_ = true;
   counts_toward_parent_ = options.counts_toward_parent;
@@ -384,24 +313,9 @@ TraceSpan::TraceSpan(const char* name, Options options) : name_(name) {
   // observers (e.g. metrics::ProbeEfficiency) both see correct peaks.
   saved_peak_ = MemoryStats::PeakBytes();
   MemoryStats::SetPeak(start_bytes_);
-  if (prof::CountersRequested()) {
-    // Long-lived per-thread group: entry/exit are counter reads, not
-    // perf_event_open calls. Degrades to zeros (one process-wide warning)
-    // when the syscall is unavailable.
-    prof::PerfCounters& counters = prof::PerfCounters::ThreadLocal();
-    if (counters.valid()) {
-      perf_active_ = true;
-      const prof::PerfSample sample = counters.Read();
-      start_cycles_ = sample.cycles;
-      start_instructions_ = sample.instructions;
-      start_cache_misses_ = sample.cache_misses;
-      start_branch_misses_ = sample.branch_misses;
-    }
-  }
 }
 
 TraceSpan::~TraceSpan() {
-  if (region_set_) internal_flops::SetRegion(prev_region_);
   if (!active_) return;
   ThreadState& state = State();
   if (!state.stack.empty() && state.stack.back() == this) {
@@ -428,14 +342,6 @@ TraceSpan::~TraceSpan() {
   event.alloc_hits = alloc_stats.hits - start_alloc_hits_;
   event.alloc_misses = alloc_stats.misses - start_alloc_misses_;
   event.alloc_bytes = MemoryStats::TotalAllocatedBytes() - start_alloc_bytes_;
-  if (perf_active_) {
-    const prof::PerfSample sample =
-        prof::PerfCounters::ThreadLocal().Read();
-    event.cycles = sample.cycles - start_cycles_;
-    event.instructions = sample.instructions - start_instructions_;
-    event.cache_misses = sample.cache_misses - start_cache_misses_;
-    event.branch_misses = sample.branch_misses - start_branch_misses_;
-  }
   Tracer::Get().Record(std::move(event));
 }
 
@@ -443,11 +349,7 @@ void ApplyTraceFlag(const FlagParser& flags) {
   if (!flags.Has("trace")) return;
   std::string path = flags.GetString("trace", "");
   if (path.empty() || path == "true") path = "trace.json";
-  TraceFormat format = FormatForPath(path);
-  const std::string fmt = flags.GetString("trace-format", "");
-  if (fmt == "jsonl") format = TraceFormat::kJsonl;
-  if (fmt == "chrome") format = TraceFormat::kChromeTrace;
-  Tracer::Get().SetOutput(path, format);
+  Tracer::Get().SetOutput(path);
 }
 
 }  // namespace obs

@@ -1,22 +1,20 @@
 // Unified tracing: span-scoped wall-clock / FLOPs / peak-memory /
-// allocation attribution with Chrome-trace and JSONL export.
+// allocation attribution with Chrome-trace export.
 //
 // A TraceSpan is an RAII scope. On entry it snapshots the global FLOP,
 // memory, and allocation counters; on exit it records a SpanEvent holding
 // the deltas. Spans nest via a thread-local stack, so a span knows both its
 // inclusive cost and its self cost (inclusive minus enclosed spans) — the
 // per-component view behind the paper's Fig. 6 / Table IV efficiency
-// breakdown. Every TraceSpan also tags the legacy FlopCounter region with
-// its name, so FlopCounter::Breakdown() keeps working for old callers and
-// always agrees with the spans' self-FLOPs.
+// breakdown. Span self-FLOPs are the repo's only per-component FLOP
+// attribution.
 //
-// Recording is off by default; a TraceSpan then costs two pointer writes
-// and one atomic load. Enable it either programmatically
-// (Tracer::Get().Enable() for in-memory collection, SetOutput() to also
-// write a file at exit) or externally:
+// Recording is off by default; a TraceSpan then costs one enabled-flag
+// check. Enable it either programmatically (Tracer::Get().Enable() for
+// in-memory collection, SetOutput() to also write a file at exit) or
+// externally:
 //
-//   FOCUS_TRACE=trace.json ./examples/quickstart     # Chrome trace JSON
-//   FOCUS_TRACE=run.jsonl  ./bench/bench_table3...   # line-delimited JSON
+//   FOCUS_TRACE=trace.json ./examples/quickstart
 //   ./examples/focus_cli train --trace=trace.json ...
 //
 // Chrome-trace output loads in chrome://tracing or https://ui.perfetto.dev.
@@ -38,8 +36,6 @@ class FlagParser;
 
 namespace obs {
 
-enum class TraceFormat { kChromeTrace, kJsonl };
-
 // One completed span. Costs are inclusive of nested spans except
 // self_flops; peak_bytes is the high-water mark of live tensor bytes above
 // the span's entry level.
@@ -59,13 +55,6 @@ struct SpanEvent {
   // Logical tensor bytes allocated during the span (inclusive) — the byte
   // traffic term of the roofline attribution (obs/prof/run_report.h).
   int64_t alloc_bytes = 0;
-  // Hardware counters (obs/prof/perf_counters.h), populated when
-  // FOCUS_PERF_COUNTERS=1; zero when the syscall is unavailable or the
-  // feature is off. Exporters derive IPC = instructions / cycles.
-  int64_t cycles = 0;
-  int64_t instructions = 0;
-  int64_t cache_misses = 0;
-  int64_t branch_misses = 0;
   // True when the span ran on a compiled execution plan (src/plan)
   // rather than the eager op-by-op path.
   bool planned = false;
@@ -82,11 +71,7 @@ struct SpanStats {
   int64_t alloc_hits = 0;    // summed
   int64_t alloc_misses = 0;  // summed
   int64_t alloc_bytes = 0;   // summed
-  int64_t cycles = 0;        // summed
-  int64_t instructions = 0;  // summed
-  int64_t cache_misses = 0;   // summed
-  int64_t branch_misses = 0;  // summed
-  int64_t planned = 0;        // count of events with planned=true
+  int64_t planned = 0;       // count of events with planned=true
 };
 std::vector<std::pair<std::string, SpanStats>> AggregateSpans(
     const std::vector<SpanEvent>& events);
@@ -95,10 +80,9 @@ namespace internal_obs {
 extern std::atomic<bool> g_enabled;
 }  // namespace internal_obs
 
-// Process-wide collector. First use reads FOCUS_TRACE (output path; a
-// .jsonl suffix or FOCUS_TRACE_FORMAT=jsonl selects JSONL) and
-// FOCUS_OBS_KERNEL_SAMPLE (record every Nth kernel invocation, default 16,
-// 0 disables kernel spans).
+// Process-wide collector. First use reads FOCUS_TRACE (Chrome-trace output
+// path) and FOCUS_OBS_KERNEL_SAMPLE (record every Nth kernel invocation,
+// default 16, 0 disables kernel spans).
 class Tracer {
  public:
   static Tracer& Get();
@@ -115,7 +99,7 @@ class Tracer {
   // Configures the export file and enables collection. The file is written
   // by Flush(), which is also registered to run at process exit. An empty
   // path clears the output (Flush becomes a no-op).
-  void SetOutput(const std::string& path, TraceFormat format);
+  void SetOutput(const std::string& path);
 
   void Record(SpanEvent event);
   std::vector<SpanEvent> Snapshot() const;
@@ -126,7 +110,6 @@ class Tracer {
   Status Flush();
 
   std::string output_path() const;
-  TraceFormat format() const;
   int kernel_sample_rate() const { return kernel_sample_; }
   void SetKernelSampleRate(int rate) { kernel_sample_ = rate; }
 
@@ -136,7 +119,6 @@ class Tracer {
   mutable std::mutex mu_;
   std::vector<SpanEvent> events_;
   std::string path_;
-  TraceFormat format_ = TraceFormat::kChromeTrace;
   bool atexit_registered_ = false;
   int kernel_sample_ = 16;
 };
@@ -148,9 +130,6 @@ inline bool TracingEnabled() { return Tracer::Get().enabled(); }
 class TraceSpan {
  public:
   struct Options {
-    // Tag the legacy FlopCounter region with the span name so
-    // FlopCounter::Breakdown() attributes FLOPs to it (innermost wins).
-    bool attribute_flop_region = true;
     // Whether the span's inclusive FLOPs subtract from the parent's
     // self-FLOPs. Sampled kernel spans set false: they are observations of
     // a fraction of the work and must not perturb component attribution.
@@ -168,8 +147,6 @@ class TraceSpan {
 
  private:
   const char* name_;
-  const char* prev_region_ = nullptr;
-  bool region_set_ = false;
   bool active_ = false;
   bool counts_toward_parent_ = true;
   bool planned_ = false;
@@ -183,18 +160,10 @@ class TraceSpan {
   int64_t saved_peak_ = 0;
   int64_t child_flops_ = 0;
   int64_t start_alloc_bytes_ = 0;
-  // Hardware-counter snapshot at entry (zeros unless FOCUS_PERF_COUNTERS
-  // is on and the thread's counter group opened).
-  bool perf_active_ = false;
-  int64_t start_cycles_ = 0;
-  int64_t start_instructions_ = 0;
-  int64_t start_cache_misses_ = 0;
-  int64_t start_branch_misses_ = 0;
 };
 
-// Wires the conventional `--trace=<path>` (and optional
-// `--trace-format=chrome|jsonl`) flags into the tracer. Call once after
-// parsing argv; the FOCUS_TRACE env var is honored independently.
+// Wires the conventional `--trace=<path>` flag into the tracer. Call once
+// after parsing argv; the FOCUS_TRACE env var is honored independently.
 void ApplyTraceFlag(const FlagParser& flags);
 
 }  // namespace obs

@@ -1,8 +1,6 @@
 #include "tensor/flops.h"
 
 #include <atomic>
-#include <cstring>
-#include <mutex>
 
 namespace focus {
 
@@ -12,73 +10,16 @@ namespace {
 // practice this counter sees no contention. It is atomic anyway so a stray
 // add from a pool thread is merely unattributed, not a data race.
 std::atomic<int64_t> g_flops{0};
-// Region attribution is thread-local: a pool worker never inherits (or
-// clobbers) the launching thread's region tag.
-thread_local const char* tl_region = nullptr;
-
-struct RegionEntry {
-  const char* name = nullptr;
-  int64_t flops = 0;
-};
-std::mutex g_regions_mu;
-// Small flat store: region sets are tiny (a handful per model), and pointer
-// identity of string literals makes lookup a pointer compare in the common
-// case.
-std::vector<RegionEntry>& Regions() {
-  static std::vector<RegionEntry>* regions = new std::vector<RegionEntry>();
-  return *regions;
-}
 }  // namespace
 
 int64_t FlopCounter::Count() {
   return g_flops.load(std::memory_order_relaxed);
 }
 
-void FlopCounter::Reset() {
-  g_flops.store(0, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(g_regions_mu);
-  Regions().clear();
-}
+void FlopCounter::Reset() { g_flops.store(0, std::memory_order_relaxed); }
 
 void FlopCounter::Add(int64_t flops) {
   g_flops.fetch_add(flops, std::memory_order_relaxed);
-  if (tl_region != nullptr) {
-    std::lock_guard<std::mutex> lock(g_regions_mu);
-    for (auto& entry : Regions()) {
-      if (entry.name == tl_region ||
-          std::strcmp(entry.name, tl_region) == 0) {
-        entry.flops += flops;
-        return;
-      }
-    }
-    Regions().push_back({tl_region, flops});
-  }
 }
-
-std::vector<std::pair<std::string, int64_t>> FlopCounter::Breakdown() {
-  std::lock_guard<std::mutex> lock(g_regions_mu);
-  std::vector<std::pair<std::string, int64_t>> out;
-  for (const auto& entry : Regions()) {
-    out.emplace_back(entry.name, entry.flops);
-  }
-  return out;
-}
-
-namespace internal_flops {
-
-const char* SetRegion(const char* name) {
-  const char* previous = tl_region;
-  tl_region = name;
-  return previous;
-}
-
-const char* CurrentRegion() { return tl_region; }
-
-}  // namespace internal_flops
-
-FlopRegion::FlopRegion(const char* name)
-    : previous_(internal_flops::SetRegion(name)) {}
-
-FlopRegion::~FlopRegion() { internal_flops::SetRegion(previous_); }
 
 }  // namespace focus

@@ -4,20 +4,19 @@
 // executes (a fused multiply-add counts as 2). This measures the actual
 // computational workload of a model forward pass — the FLOPs metric of the
 // paper's Fig. 6 / Table IV — rather than an analytic estimate, so the
-// numbers automatically stay honest as models evolve.
+// numbers automatically stay honest as models evolve. Per-component
+// attribution (embed / branches / fusion) is obs::TraceSpan's self-FLOPs,
+// which are deltas of this one counter.
 //
 // Thread model: every kernel computes its count once, from resolved shapes,
 // on the launching thread and *outside* any ParallelFor region, so counts
 // are deterministic under concurrency (independent of FOCUS_NUM_THREADS).
-// The global counter is atomic and the attribution region is thread-local,
-// keeping the pool-enabled build race-free.
+// The counter is a single relaxed atomic, keeping the pool-enabled build
+// race-free.
 #ifndef FOCUS_TENSOR_FLOPS_H_
 #define FOCUS_TENSOR_FLOPS_H_
 
 #include <cstdint>
-#include <string>
-#include <utility>
-#include <vector>
 
 namespace focus {
 
@@ -25,39 +24,10 @@ struct FlopCounter {
   static int64_t Count();
   static void Reset();
   static void Add(int64_t flops);
-
-  // Per-region attribution (see FlopRegion): (region, flops) pairs in
-  // first-use order. Reset() clears the breakdown too.
-  static std::vector<std::pair<std::string, int64_t>> Breakdown();
 };
 
-namespace internal_flops {
-// Swaps the active attribution region and returns the previous one. Used by
-// FlopRegion and obs::TraceSpan; not part of the public surface.
-const char* SetRegion(const char* name);
-const char* CurrentRegion();
-}  // namespace internal_flops
-
-// RAII region tag: FLOPs recorded while alive are attributed to `name` in
-// FlopCounter::Breakdown(). Regions may nest; the innermost wins. Used to
-// split a model's forward cost into embed / branches / fusion.
-//
-// DEPRECATED: prefer obs::TraceSpan, which feeds the same breakdown and
-// additionally records wall-clock, peak-memory, and allocation-count deltas
-// per span. FlopRegion remains for old callers; Breakdown() semantics and
-// ordering are unchanged.
-class FlopRegion {
- public:
-  explicit FlopRegion(const char* name);
-  ~FlopRegion();
-  FlopRegion(const FlopRegion&) = delete;
-  FlopRegion& operator=(const FlopRegion&) = delete;
-
- private:
-  const char* previous_;
-};
-
-// RAII helper: resets the counter on construction, reads it on Elapsed().
+// RAII helper: snapshots the counter on construction, reads the delta on
+// Elapsed().
 class FlopScope {
  public:
   FlopScope() : start_(FlopCounter::Count()) {}

@@ -4,8 +4,7 @@
 // per-invocation profile scopes without depending on the observability
 // layer: they call through a process-wide hook table that src/obs installs
 // when tracing is enabled. When no hooks are installed the cost is a single
-// atomic pointer load and branch per kernel call; defining the build
-// without FOCUS_OBS_KERNELS compiles even that out.
+// atomic pointer load and branch per kernel call.
 //
 // Hook install/clear is safe against in-flight kernels: the table is
 // published through an atomic pointer and a KernelProfileScope pins the
@@ -60,11 +59,7 @@ class KernelProfileScope {
 
 }  // namespace focus
 
-#if defined(FOCUS_OBS_KERNELS)
 #define FOCUS_KERNEL_SCOPE(name) \
   ::focus::KernelProfileScope focus_kernel_profile_scope_(name)
-#else
-#define FOCUS_KERNEL_SCOPE(name) static_cast<void>(0)
-#endif
 
 #endif  // FOCUS_TENSOR_PROFILE_HOOKS_H_

@@ -3,8 +3,8 @@
 // Everything else is collected as positional arguments.
 //
 // Binaries that want span tracing follow a shared convention: pass the
-// parsed flags to obs::ApplyTraceFlag(), which wires `--trace[=FILE]` and
-// `--trace-format=chrome|jsonl` into the obs::Tracer (see obs/trace.h).
+// parsed flags to obs::ApplyTraceFlag(), which wires `--trace[=FILE]` into
+// the obs::Tracer (see obs/trace.h).
 #ifndef FOCUS_UTILS_FLAGS_H_
 #define FOCUS_UTILS_FLAGS_H_
 

@@ -10,6 +10,7 @@
 #include "core/proto_attn.h"
 #include "data/generator.h"
 #include "data/window.h"
+#include "obs/trace.h"
 #include "optim/optimizer.h"
 #include "tensor/flops.h"
 #include "tests/test_util.h"
@@ -229,6 +230,64 @@ TEST(FocusModelTest, AttnVariantCostsMoreFlops) {
   };
   // 16 temporal tokens vs 4 prototypes: self-attention must cost more.
   EXPECT_GT(flops_of(FocusVariant::kAttn), flops_of(FocusVariant::kFull));
+}
+
+TEST(FocusModelTest, SpanSelfFlopsAccountForForward) {
+  // TraceSpan self-FLOPs are the only per-component FLOP attribution
+  // (Fig. 6's breakdown), so they must account for a forward exactly: the
+  // root span sees the forward's FlopScope delta, the spans' self-FLOPs
+  // sum to it with nothing lost or counted twice, and each stage is
+  // nonzero. Kernel spans are off so only component spans are recorded.
+  FocusConfig cfg;
+  cfg.lookback = 64;
+  cfg.horizon = 16;
+  cfg.num_entities = 3;
+  cfg.patch_len = 8;
+  cfg.d_model = 16;
+  cfg.readout_queries = 4;
+  cfg.seed = 26;
+  FocusModel model(cfg, MakePrototypes(4, 8, 27));
+  model.SetTraining(false);
+  Rng data_rng(28);
+  Tensor x = Tensor::Randn({2, 3, 64}, data_rng);
+
+  auto& tracer = obs::Tracer::Get();
+  const int prev_rate = tracer.kernel_sample_rate();
+  tracer.SetKernelSampleRate(0);
+  tracer.Clear();
+  tracer.Enable();
+  int64_t forward_flops = 0;
+  {
+    InferenceModeGuard inference;
+    obs::TraceSpan root("test/forward");
+    FlopScope scope;
+    model.Forward(x);
+    forward_flops = scope.Elapsed();
+  }
+  tracer.Disable();
+  tracer.SetKernelSampleRate(prev_rate);
+  const std::vector<obs::SpanEvent> events = tracer.Snapshot();
+  tracer.Clear();
+
+  int64_t root_flops = -1, self_sum = 0;
+  for (const obs::SpanEvent& ev : events) {
+    EXPECT_NE(ev.name.rfind("kernel/", 0), 0u) << ev.name;
+    if (ev.name == "test/forward") root_flops = ev.flops;
+    self_sum += ev.self_flops;
+  }
+  EXPECT_GT(forward_flops, 0);
+  EXPECT_EQ(root_flops, forward_flops);
+  EXPECT_EQ(self_sum, root_flops);
+  const auto agg = obs::AggregateSpans(events);
+  for (const char* stage : {"focus/embed", "focus/temporal_branch",
+                            "focus/entity_branch", "focus/proto_attn",
+                            "focus/fusion"}) {
+    int64_t self_flops = 0;
+    for (const auto& [name, stats] : agg) {
+      if (name == stage) self_flops = stats.self_flops;
+    }
+    EXPECT_GT(self_flops, 0) << stage;
+  }
 }
 
 TEST(FocusModelTest, MultiLayerExtractorStacks) {

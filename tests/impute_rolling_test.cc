@@ -1,5 +1,4 @@
-// Tests for missing-value handling, rolling-origin evaluation and the
-// FLOP-region attribution.
+// Tests for missing-value handling and rolling-origin evaluation.
 #include <cmath>
 #include <limits>
 
@@ -9,8 +8,6 @@
 #include "data/generator.h"
 #include "data/impute.h"
 #include "harness/rolling.h"
-#include "tensor/flops.h"
-#include "tensor/ops.h"
 
 namespace focus {
 namespace {
@@ -105,44 +102,6 @@ TEST(RollingTest, FoldsAdvanceAndAggregate) {
   }
   EXPECT_NEAR(result.aggregate.mse, expect_mse / total, 1e-9);
   EXPECT_EQ(result.aggregate.count, total);
-}
-
-TEST(FlopRegionTest, AttributesToInnermostRegion) {
-  FlopCounter::Reset();
-  Rng rng(6);
-  Tensor a = Tensor::Randn({8, 8}, rng);
-  {
-    FlopRegion outer("outer");
-    MatMul(a, a);
-    {
-      FlopRegion inner("inner");
-      MatMul(a, a);
-    }
-    MatMul(a, a);
-  }
-  MatMul(a, a);  // untagged
-
-  int64_t outer = 0, inner = 0;
-  for (const auto& [region, flops] : FlopCounter::Breakdown()) {
-    if (region == "outer") outer = flops;
-    if (region == "inner") inner = flops;
-  }
-  const int64_t one = 2 * 8 * 8 * 8;
-  EXPECT_EQ(inner, one);
-  EXPECT_EQ(outer, 2 * one);
-  EXPECT_EQ(FlopCounter::Count(), 4 * one);
-}
-
-TEST(FlopRegionTest, ResetClearsBreakdown) {
-  FlopCounter::Reset();
-  {
-    FlopRegion region("temp");
-    FlopCounter::Add(10);
-  }
-  EXPECT_FALSE(FlopCounter::Breakdown().empty());
-  FlopCounter::Reset();
-  EXPECT_TRUE(FlopCounter::Breakdown().empty());
-  EXPECT_EQ(FlopCounter::Count(), 0);
 }
 
 }  // namespace

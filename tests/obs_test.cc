@@ -1,5 +1,5 @@
-// Unit tests for the obs subsystem: TraceSpan attribution, exporter output,
-// the disabled path, and the MetricsRegistry.
+// Unit tests for the obs subsystem: TraceSpan attribution, Chrome-trace
+// export, the disabled path, kernel-span sampling, and the MetricsRegistry.
 #include "obs/trace.h"
 
 #include <cstdio>
@@ -13,7 +13,9 @@
 #include "tensor/allocator.h"
 #include "tensor/flops.h"
 #include "tensor/memory.h"
+#include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "utils/env.h"
 
 namespace focus {
 namespace {
@@ -27,15 +29,6 @@ obs::SpanStats StatsFor(
   }
   ADD_FAILURE() << "no span named " << name;
   return {};
-}
-
-int64_t BreakdownFor(
-    const std::vector<std::pair<std::string, int64_t>>& breakdown,
-    const std::string& name) {
-  for (const auto& [n, flops] : breakdown) {
-    if (n == name) return flops;
-  }
-  return 0;
 }
 
 // Minimal structural JSON check: every brace/bracket outside of strings
@@ -123,11 +116,6 @@ TEST_F(ObsTest, NestedSpansAttributeToInnermostScope) {
   EXPECT_GE(inner.peak_bytes, tensor_bytes);
   EXPECT_GE(outer.peak_bytes, tensor_bytes);
   EXPECT_GE(inner.allocs, 1);
-
-  // The legacy region breakdown sees the same attribution (innermost wins).
-  const auto breakdown = FlopCounter::Breakdown();
-  EXPECT_EQ(BreakdownFor(breakdown, "test/inner"), 500);
-  EXPECT_EQ(BreakdownFor(breakdown, "test/outer"), 1200);
 }
 
 TEST_F(ObsTest, SpanPeakWindowDoesNotLowerOuterPeak) {
@@ -156,9 +144,9 @@ TEST_F(ObsTest, ChromeTraceExportRoundTrip) {
   obs::MetricsRegistry::Get().SetGauge("test/gauge", 1.5);
 
   const std::string path = "obs_test_trace.json";
-  tracer.SetOutput(path, obs::TraceFormat::kChromeTrace);
+  tracer.SetOutput(path);
   ASSERT_TRUE(tracer.Flush().ok());
-  tracer.SetOutput("", obs::TraceFormat::kChromeTrace);
+  tracer.SetOutput("");
   tracer.Disable();
 
   const std::string text = ReadFile(path);
@@ -175,46 +163,43 @@ TEST_F(ObsTest, ChromeTraceExportRoundTrip) {
   EXPECT_NE(text.find("\"test/gauge\":1.5"), std::string::npos);
 }
 
-TEST_F(ObsTest, JsonlExportRoundTrip) {
+TEST_F(ObsTest, ChromeTraceExportCarriesEverySpan) {
   auto& tracer = obs::Tracer::Get();
   tracer.Enable();
   {
-    obs::TraceSpan span("test/jsonl");
+    obs::TraceSpan span("test/first");
     FlopCounter::Add(7);
   }
+  {
+    obs::TraceSpan span("test/second");
+    FlopCounter::Add(9);
+  }
 
-  const std::string path = "obs_test_trace.jsonl";
-  tracer.SetOutput(path, obs::TraceFormat::kJsonl);
+  const std::string path = "obs_test_spans.json";
+  tracer.SetOutput(path);
   ASSERT_TRUE(tracer.Flush().ok());
-  tracer.SetOutput("", obs::TraceFormat::kJsonl);
+  tracer.SetOutput("");
   tracer.Disable();
 
   const std::string text = ReadFile(path);
   std::remove(path.c_str());
   ASSERT_FALSE(text.empty());
-  // Every line is one balanced JSON object.
-  size_t start = 0;
-  bool saw_span = false;
-  while (start < text.size()) {
-    size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(start, end - start);
-    if (!line.empty()) {
-      EXPECT_EQ(line.front(), '{') << line;
-      EXPECT_EQ(line.back(), '}') << line;
-      EXPECT_TRUE(JsonBalanced(line)) << line;
-      if (line.find("\"type\":\"span\"") != std::string::npos &&
-          line.find("test/jsonl") != std::string::npos) {
-        saw_span = true;
-        EXPECT_NE(line.find("\"flops\":7"), std::string::npos);
-      }
-    }
-    start = end + 1;
+  EXPECT_TRUE(JsonBalanced(text));
+  // Each span is one complete ("X") event carrying its own args.
+  for (const auto& [name, flops] :
+       {std::pair<std::string, int>{"test/first", 7}, {"test/second", 9}}) {
+    const size_t at = text.find("\"name\":\"" + name + "\"");
+    ASSERT_NE(at, std::string::npos) << name;
+    const size_t end = text.find('\n', at);
+    const std::string event = text.substr(at, end - at);
+    EXPECT_NE(event.find("\"ph\":\"X\""), std::string::npos) << event;
+    EXPECT_NE(event.find("\"flops\":" + std::to_string(flops)),
+              std::string::npos)
+        << event;
   }
-  EXPECT_TRUE(saw_span);
 }
 
-TEST_F(ObsTest, DisabledTracingRecordsNothingButRegionsStillWork) {
+TEST_F(ObsTest, DisabledTracingRecordsNothingButStillCounts) {
   auto& tracer = obs::Tracer::Get();
   ASSERT_FALSE(tracer.enabled());
   {
@@ -222,30 +207,50 @@ TEST_F(ObsTest, DisabledTracingRecordsNothingButRegionsStillWork) {
     FlopCounter::Add(123);
   }
   EXPECT_TRUE(tracer.Snapshot().empty());
-  // The FlopCounter region tag works even with tracing off, so legacy
-  // Breakdown() consumers lose nothing.
-  EXPECT_EQ(BreakdownFor(FlopCounter::Breakdown(), "test/disabled"), 123);
+  // The global counter is independent of tracing.
+  EXPECT_EQ(FlopCounter::Count(), 123);
 }
 
-TEST_F(ObsTest, BreakdownPreservesFirstUseOrder) {
-  // Regression: Breakdown() reports regions in first-use order, not sorted.
-  {
-    obs::TraceSpan a("zeta");
+TEST_F(ObsTest, AggregateSpansPreservesFirstUseOrder) {
+  // Regression: AggregateSpans() reports names in first-use order, not
+  // sorted; RunReport and bench_fig6's breakdown rely on it.
+  auto& tracer = obs::Tracer::Get();
+  tracer.Enable();
+  for (const char* name : {"zeta", "alpha", "mid", "zeta"}) {
+    obs::TraceSpan span(name);
     FlopCounter::Add(1);
   }
-  {
-    FlopRegion b("alpha");
-    FlopCounter::Add(2);
-  }
-  {
-    obs::TraceSpan c("mid");
-    FlopCounter::Add(3);
-  }
-  const auto breakdown = FlopCounter::Breakdown();
+  tracer.Disable();
+  const auto agg = obs::AggregateSpans(tracer.Snapshot());
   std::vector<std::string> names;
-  for (const auto& [name, flops] : breakdown) names.push_back(name);
+  for (const auto& [name, stats] : agg) names.push_back(name);
   const std::vector<std::string> expected = {"zeta", "alpha", "mid"};
   EXPECT_EQ(names, expected);
+  EXPECT_EQ(StatsFor(agg, "zeta").count, 2);
+}
+
+// FOCUS_OBS_KERNEL_SAMPLE sets the kernel-span sampling rate (default 16)
+// and 0 turns kernel spans off. The obs_test_kernel_sample_off ctest entry
+// reruns this test with the variable set to 0.
+TEST_F(ObsTest, KernelSampleRateFollowsEnv) {
+  const std::string env = GetEnvOr("FOCUS_OBS_KERNEL_SAMPLE", "");
+  const int expected = env.empty() ? 16 : std::stoi(env);
+  auto& tracer = obs::Tracer::Get();
+  EXPECT_EQ(tracer.kernel_sample_rate(), expected);
+
+  Tensor a = Tensor::Ones({8, 8});
+  tracer.Enable();
+  for (int i = 0; i < 32; ++i) MatMul(a, a);
+  tracer.Disable();
+  int kernel_spans = 0;
+  for (const obs::SpanEvent& ev : tracer.Snapshot()) {
+    if (ev.name.rfind("kernel/", 0) == 0) ++kernel_spans;
+  }
+  if (expected == 0) {
+    EXPECT_EQ(kernel_spans, 0);
+  } else {
+    EXPECT_GE(kernel_spans, 32 / expected);
+  }
 }
 
 TEST_F(ObsTest, SpansAndExportsCarryAllocatorCounters) {
@@ -266,10 +271,10 @@ TEST_F(ObsTest, SpansAndExportsCarryAllocatorCounters) {
   const auto agg = obs::AggregateSpans(tracer.Snapshot());
   EXPECT_GE(StatsFor(agg, "test/alloc_reuse").alloc_hits, 1);
 
-  const std::string path = "obs_test_alloc.jsonl";
-  tracer.SetOutput(path, obs::TraceFormat::kJsonl);
+  const std::string path = "obs_test_alloc.json";
+  tracer.SetOutput(path);
   ASSERT_TRUE(tracer.Flush().ok());  // publishes alloc/* into the registry
-  tracer.SetOutput("", obs::TraceFormat::kJsonl);
+  tracer.SetOutput("");
   tracer.Disable();
 
   const std::string text = ReadFile(path);
