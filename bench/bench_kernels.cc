@@ -36,6 +36,7 @@
 
 #if __has_include("plan/plan.h")
 #include "core/focus_model.h"
+#include "core/planned_forecaster.h"
 #include "plan/plan.h"
 #define FOCUS_BENCH_HAVE_PLAN 1
 #endif
@@ -384,13 +385,13 @@ void BM_FocusForecastPlanned(benchmark::State& state) {
   model.SetTraining(false);
   Rng rng(11);
   Tensor x = Tensor::Randn({1, 8, lookback}, rng);
-  model.ForecastPlanned(x);  // capture + compile outside the timed loop
+  core::PlannedForecaster planned(&model);
+  planned.Forward(x);  // capture + compile outside the timed loop
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.ForecastPlanned(x).data());
+    benchmark::DoNotOptimize(planned.Forward(x).data());
   }
   state.SetItemsProcessed(state.iterations());
-  state.counters["planned"] =
-      model.last_forecast_planned() ? 1.0 : 0.0;
+  state.counters["planned"] = planned.last_was_planned() ? 1.0 : 0.0;
   ReportThreads(state);
 }
 BENCHMARK(BM_FocusForecastPlanned)->Arg(96)->Arg(512)

@@ -104,13 +104,6 @@ std::string FocusModel::name() const {
   return FocusVariantName(config_.variant);
 }
 
-Tensor FocusModel::ForecastPlanned(const Tensor& x) {
-  if (planned_ == nullptr) {
-    planned_ = std::make_unique<PlannedForecaster>(this);
-  }
-  return planned_->Forward(x);
-}
-
 Tensor FocusModel::ExtractFeatures(const Tensor& raw, const Tensor& emb,
                                    bool temporal) {
   Tensor h = emb;

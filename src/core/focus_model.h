@@ -24,7 +24,6 @@
 #include <string>
 
 #include "core/forecast_model.h"
-#include "core/planned_forecaster.h"
 #include "core/proto_attn.h"
 #include "nn/attention.h"
 #include "nn/layers.h"
@@ -70,19 +69,6 @@ class FocusModel : public ForecastModel {
   std::string name() const override;
   int64_t horizon() const override { return config_.horizon; }
 
-  // Tape-free inference: first call per input shape captures and
-  // compiles an execution plan (src/plan); later calls replay it with
-  // zero allocator traffic, falling back to eager when capture fails
-  // or the shape/backend changed. Bit-identical to Forward() under
-  // inference mode. The model must be frozen; the returned tensor is
-  // overwritten by the next planned call.
-  Tensor ForecastPlanned(const Tensor& x);
-
-  // Whether the last ForecastPlanned() actually ran on a plan.
-  bool last_forecast_planned() const {
-    return planned_ != nullptr && planned_->last_was_planned();
-  }
-
   const FocusConfig& config() const { return config_; }
   // Case-study hooks (Fig. 13): first-layer temporal-branch ProtoAttn of
   // the last forward. Null for kAttn / kAllLnr variants.
@@ -126,9 +112,6 @@ class FocusModel : public ForecastModel {
   // Gated-linear fusion (kLnrFusion, kAllLnr).
   std::shared_ptr<nn::Linear> lnr_gate_;  // (2*l*d -> l*d)
   std::shared_ptr<nn::Linear> lnr_head_;  // (l*d -> Lf)
-
-  // Lazy plan cache behind ForecastPlanned().
-  std::unique_ptr<PlannedForecaster> planned_;
 };
 
 }  // namespace core

@@ -23,8 +23,8 @@ namespace {
 // `int8` set, each normalized token is first rounded to its symmetric int8
 // grid (tscale = max|t|/127, zero point 0), and `bank` is the dequantized
 // int8 bank. Serial over rows, in blocks that bound the scratch buffer;
-// AssignTokens and the plan replay closure both call exactly this
-// function, so eager and planned forwards are bit-identical.
+// AssignTokens and Forward's assignment step both call exactly this
+// function.
 void AssignRows(const float* raw, int64_t rows,
                 const cluster::PrototypeBank& bank, float alpha, bool int8,
                 int64_t* out_idx) {
@@ -47,6 +47,13 @@ void AssignRows(const float* raw, int64_t rows,
     cluster::NearestPrototypes(shape.data(), nb, bank, alpha, out_idx + r0,
                                nullptr);
   }
+}
+
+// Tokens and bank are rounded to int8 only in int8proto inference; a
+// training forward always assigns in f32.
+bool Int8Assign() {
+  return !GradMode::IsEnabled() &&
+         PrecisionMode::Get() == Precision::kInt8Proto;
 }
 
 }  // namespace
@@ -88,8 +95,7 @@ std::vector<int64_t> ProtoAttn::AssignTokens(const Tensor& tokens_raw) const {
   const int64_t rows = tokens_raw.size(0) * tokens_raw.size(1);
   const int64_t k = prototypes_.size(0);
   std::vector<int64_t> assignments(static_cast<size_t>(rows));
-  const bool int8 = !GradMode::IsEnabled() &&
-                    PrecisionMode::Get() == Precision::kInt8Proto;
+  const bool int8 = Int8Assign();
   AssignRows(tokens_raw.data(), rows, int8 ? *int8_bank_ : *bank_, alpha_,
              int8, assignments.data());
   // Assignment cost (counted so the FLOPs metric reflects Algorithm 2's
@@ -103,49 +109,37 @@ Tensor ProtoAttn::Forward(const Tensor& tokens_raw, const Tensor& tokens_emb) {
   FOCUS_CHECK_EQ(tokens_emb.dim(), 3);
   FOCUS_CHECK_EQ(tokens_emb.size(-1), d_model_);
   const int64_t b = tokens_emb.size(0), l = tokens_emb.size(1);
+  const int64_t k = prototypes_.size(0), p = prototypes_.size(1);
+  FOCUS_CHECK_EQ(tokens_raw.dim(), 3);
   FOCUS_CHECK_EQ(tokens_raw.size(0), b);
   FOCUS_CHECK_EQ(tokens_raw.size(1), l);
-  const int64_t k = prototypes_.size(0);
+  FOCUS_CHECK_EQ(tokens_raw.size(2), p);
 
-  // One-hot assignment matrix A (constant wrt autograd; Algorithm 2 l.1-4).
-  const std::vector<int64_t> assign = AssignTokens(tokens_raw);
-  Tensor a = Tensor::Zeros({b, l, k});
-  for (int64_t bi = 0; bi < b; ++bi) {
-    for (int64_t li = 0; li < l; ++li) {
-      a.data()[(bi * l + li) * k +
-               assign[static_cast<size_t>(bi * l + li)]] = 1.0f;
-    }
-  }
+  // One-hot assignment matrix A (constant wrt autograd; Algorithm 2
+  // l.1-4). A's values depend on the token values, so it is one step: a
+  // plan replays the assignment from the live token buffer instead of
+  // pinning this call's pattern as a constant. The closure holds the
+  // precision-resolved bank (the shared_ptr keeps it alive); a plan is
+  // captured in inference mode and Plan::Matches() pins the ambient
+  // PrecisionMode, so a plan never replays the wrong variant. The
+  // last_assignment_/last_attention_ diagnostics are not replayed.
+  const int64_t rows = b * l;
+  const bool int8 = Int8Assign();
+  Tensor a = Tensor::Empty({b, l, k});
+  plan_hooks::RunStep(
+      "ProtoAssign", {tokens_raw}, a,
+      [bank = int8 ? int8_bank_ : bank_, alpha = alpha_, int8, rows,
+       k](float* const* bufs) {
+        float* pa = bufs[1];
+        std::fill_n(pa, rows * k, 0.0f);
+        std::vector<int64_t> idx(static_cast<size_t>(rows));
+        AssignRows(bufs[0], rows, *bank, alpha, int8, idx.data());
+        for (int64_t r = 0; r < rows; ++r) {
+          pa[r * k + idx[static_cast<size_t>(r)]] = 1.0f;
+        }
+      });
+  FlopCounter::Add(3 * rows * k * p);
   last_assignment_ = a;
-  if (plan_hooks::CaptureActive()) {
-    // A is built by value-DEPENDENT raw writes, so without this step a
-    // capture would pin one assignment pattern as a constant. The
-    // closure recomputes AssignTokens' serial z-norm + argmin sweep
-    // from the live token buffer — same accumulation order, same bits.
-    // Member diagnostics (last_assignment_/last_attention_) are NOT
-    // replayed by plans.
-    const float alpha = alpha_;
-    // Capture the precision-resolved sweep: a plan captured under
-    // int8proto replays the int8 bank (the shared_ptr keeps it alive),
-    // any other mode replays the f32 bank. Plan::Matches() pins the
-    // ambient PrecisionMode, so a plan never replays the wrong variant.
-    const bool int8 = PrecisionMode::Get() == Precision::kInt8Proto;
-    std::shared_ptr<const cluster::PrototypeBank> bank =
-        int8 ? int8_bank_ : bank_;
-    plan_hooks::Record(
-        "ProtoAssign", {tokens_raw}, a,
-        [bank, alpha, int8, b, l, k](float* const* bufs) {
-          const float* raw = bufs[0];
-          float* pa = bufs[1];
-          std::fill_n(pa, b * l * k, 0.0f);
-          const int64_t rows = b * l;
-          std::vector<int64_t> idx(static_cast<size_t>(rows));
-          AssignRows(raw, rows, *bank, alpha, int8, idx.data());
-          for (int64_t r = 0; r < rows; ++r) {
-            pa[r * k + idx[static_cast<size_t>(r)]] = 1.0f;
-          }
-        });
-  }
 
   // Projections (Eq. 14).
   Tensor c_emb = embed_->Forward(prototypes_);  // (k, d)

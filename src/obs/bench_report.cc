@@ -6,6 +6,7 @@
 #include <ctime>
 #include <thread>
 
+#include "obs/trace.h"
 #include "tensor/simd/vec.h"
 
 #ifndef FOCUS_GIT_SHA
@@ -20,26 +21,7 @@ namespace obs {
 
 namespace {
 
-void AppendEscaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string FormatDouble(double v) {
+std::string FormatExact(double v) {
   char buf[64];
   // %.17g round-trips doubles exactly, so Parse(ToJson(r)) == r.
   std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -160,14 +142,14 @@ std::string BenchReport::ToJson() const {
     if (i > 0) out += ",";
     out += "\n{\"name\":\"";
     AppendEscaped(out, e.name);
-    out += "\",\"ns_per_op\":" + FormatDouble(e.ns_per_op);
-    out += ",\"gflops\":" + FormatDouble(e.gflops);
-    out += ",\"items_per_second\":" + FormatDouble(e.items_per_second);
-    out += ",\"threads\":" + FormatDouble(e.threads);
+    out += "\",\"ns_per_op\":" + FormatExact(e.ns_per_op);
+    out += ",\"gflops\":" + FormatExact(e.gflops);
+    out += ",\"items_per_second\":" + FormatExact(e.items_per_second);
+    out += ",\"threads\":" + FormatExact(e.threads);
     // Optional: omitted when not measured, so reports predating the
     // field byte-match their re-serialization.
     if (e.bytes_per_op > 0.0) {
-      out += ",\"bytes_per_op\":" + FormatDouble(e.bytes_per_op);
+      out += ",\"bytes_per_op\":" + FormatExact(e.bytes_per_op);
     }
     out += ",\"label\":\"";
     AppendEscaped(out, e.label);

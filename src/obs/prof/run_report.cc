@@ -27,14 +27,10 @@ bool g_report_print = false;
 std::string g_report_json_path;
 bool g_report_atexit_registered = false;
 
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
 void AppendRowJson(std::string& out, const RunReportRow& row) {
-  out += "{\"name\":\"" + row.name + "\"";
+  out += "{\"name\":\"";
+  AppendEscaped(out, row.name);
+  out += "\"";
   out += ",\"count\":" + std::to_string(row.count);
   out += ",\"wall_us\":" + std::to_string(row.wall_us);
   out += ",\"flops\":" + std::to_string(row.flops);

@@ -63,31 +63,6 @@ void KernelEndHook() {
   if (!state.kernel_spans.empty()) state.kernel_spans.pop_back();
 }
 
-void AppendEscaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
 void AppendSpanArgs(std::string& out, const SpanEvent& ev) {
   out += "\"flops\":" + std::to_string(ev.flops);
   out += ",\"self_flops\":" + std::to_string(ev.self_flops);
@@ -350,6 +325,31 @@ void ApplyTraceFlag(const FlagParser& flags) {
   std::string path = flags.GetString("trace", "");
   if (path.empty() || path == "true") path = "trace.json";
   Tracer::Get().SetOutput(path);
+}
+
+void AppendEscaped(std::string& out, const std::string& s) {
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+}
+
+std::string FormatDouble(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
 }
 
 }  // namespace obs

@@ -166,6 +166,12 @@ class TraceSpan {
 // after parsing argv; the FOCUS_TRACE env var is honored independently.
 void ApplyTraceFlag(const FlagParser& flags);
 
+// JSON text helpers shared by the obs exporters: appends `s` to `out` as
+// the body of a JSON string (quotes, backslashes and control characters
+// escaped), and formats a double as a compact "%.6g" JSON number.
+void AppendEscaped(std::string& out, const std::string& s);
+std::string FormatDouble(double v);
+
 }  // namespace obs
 }  // namespace focus
 

@@ -2,8 +2,8 @@
 //
 // ExecutionPlan::Capture() runs a model forward exactly once under the
 // plan_hooks capture sink (src/tensor/plan_hooks.h) and records the
-// kernel-launch sequence the eager path performed — each step carries a
-// replay closure built at the op site from the very code that just ran,
+// kernel-launch sequence the eager path performed — each step carries
+// the very kernel closure the eager op just ran (plan_hooks::RunStep),
 // so a replay performs the identical IEEE operations in the identical
 // order (bit-identity with eager by construction, on both SIMD backends
 // and any thread count).

@@ -56,64 +56,24 @@ Tensor Conv1d(const Tensor& x, const Tensor& w, const Tensor& bias,
   const int64_t span = (K - 1) * dilation + 1;
   const int64_t Lout = (L + 2 * padding - span) / stride + 1;
   FOCUS_CHECK_GE(Lout, 1) << "Conv1d output length would be < 1";
-  if (bias.defined()) FOCUS_CHECK_EQ(bias.numel(), Cout);
+  const bool has_bias = bias.defined();
+  if (has_bias) FOCUS_CHECK_EQ(bias.numel(), Cout);
 
-  Tensor out = Tensor::Zeros({B, Cout, Lout});
+  // The kernel initializes every row itself (bias fill, or zero-fill
+  // without bias): a plan replays it onto recycled slab memory.
+  Tensor out = Tensor::Empty({B, Cout, Lout});
   {
     FOCUS_KERNEL_SCOPE("kernel/conv1d");
-    const float* px = x.data();
-    const float* pw = w.data();
-    const float* pb = bias.defined() ? bias.data() : nullptr;
-    float* po = out.data();
-    const simd::KernelTable& kt = simd::Kernels();
-    ParallelFor(0, B * Cout, 1, [&](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        const int64_t b = r / Cout, co = r % Cout;
-        float* orow = po + r * Lout;
-        if (pb != nullptr) {
-          const float bv = pb[co];
-          for (int64_t lo = 0; lo < Lout; ++lo) orow[lo] = bv;
-        }
-        for (int64_t ci = 0; ci < Cin; ++ci) {
-          const float* xrow = px + (b * Cin + ci) * L;
-          const float* wrow = pw + (co * Cin + ci) * K;
-          for (int64_t kk = 0; kk < K; ++kk) {
-            const float wv = wrow[kk];
-            const int64_t base = kk * dilation - padding;
-            if (stride == 1) {
-              int64_t lo0, lo1;
-              ValidRange(base, L, Lout, &lo0, &lo1);
-              if (lo1 > lo0)
-                kt.axpy(wv, xrow + lo0 + base, orow + lo0, lo1 - lo0);
-            } else {
-              for (int64_t lo = 0; lo < Lout; ++lo) {
-                const int64_t li = lo * stride + base;
-                if (li >= 0 && li < L) orow[lo] += wv * xrow[li];
-              }
-            }
-          }
-        }
-      }
-    });
-    FlopCounter::Add(2 * B * Cout * Lout * Cin * K);
-  }
-  if (plan_hooks::CaptureActive()) {
-    // Replays the zero-init + bias-fill + tap loop above verbatim. The
-    // eager path gets its zero start from Tensor::Zeros; the replay
-    // buffer is recycled slab memory, so the closure zero-fills rows
-    // itself when there is no bias to overwrite them.
-    const bool rec_bias = bias.defined();
-    std::vector<Tensor> ins = rec_bias
-                                  ? std::vector<Tensor>{x, w, bias}
-                                  : std::vector<Tensor>{x, w};
-    plan_hooks::Record(
+    std::vector<Tensor> ins = has_bias ? std::vector<Tensor>{x, w, bias}
+                                       : std::vector<Tensor>{x, w};
+    plan_hooks::RunStep(
         "Conv1d", std::move(ins), out,
-        [rec_bias, B, Cin, L, Cout, K, Lout, stride, padding,
+        [has_bias, B, Cin, L, Cout, K, Lout, stride, padding,
          dilation](float* const* bufs) {
           const float* px = bufs[0];
           const float* pw = bufs[1];
-          const float* pb = rec_bias ? bufs[2] : nullptr;
-          float* po = bufs[rec_bias ? 3 : 2];
+          const float* pb = has_bias ? bufs[2] : nullptr;
+          float* po = bufs[has_bias ? 3 : 2];
           const simd::KernelTable& kt = simd::Kernels();
           ParallelFor(0, B * Cout, 1, [&](int64_t r0, int64_t r1) {
             for (int64_t r = r0; r < r1; ++r) {
@@ -148,10 +108,10 @@ Tensor Conv1d(const Tensor& x, const Tensor& w, const Tensor& bias,
             }
           });
         });
+    FlopCounter::Add(2 * B * Cout * Lout * Cin * K);
   }
 
   Tensor xd = x.Detach(), wd = w.Detach();
-  const bool has_bias = bias.defined();
   return autograd::MakeResult(
       out, "Conv1d", {x, w, bias},
       [xd, wd, has_bias, B, Cin, L, Cout, K, Lout, stride, padding,

@@ -93,20 +93,16 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   Tensor out = Tensor::Empty(out_shape);
   {
     FOCUS_KERNEL_SCOPE("kernel/matmul");
-    MatMulKernel(a.data(), b.data(), out.data(), d.batch, d.batch_a,
-                 d.batch_b, d.m, d.k, d.n);
+    // MatMulKernel resolves the row-block kernel from the active table
+    // on every run; a plan's guard pins the backend for replays.
+    plan_hooks::RunStep("MatMul", {a, b}, out, [d](float* const* bufs) {
+      MatMulKernel(bufs[0], bufs[1], bufs[2], d.batch, d.batch_a, d.batch_b,
+                   d.m, d.k, d.n);
+    });
     // Counted once from the resolved dims, on the launching thread, outside
     // the parallel region: the executed work is 2·batch·m·n·k regardless of
     // which operand (if either) broadcasts its batch dimension.
     FlopCounter::Add(2 * d.batch * d.m * d.n * d.k);
-  }
-  if (plan_hooks::CaptureActive()) {
-    // MatMulKernel re-resolves the row-block kernel from the active
-    // table at replay time; the plan guard pins the backend.
-    plan_hooks::Record("MatMul", {a, b}, out, [d](float* const* bufs) {
-      MatMulKernel(bufs[0], bufs[1], bufs[2], d.batch, d.batch_a, d.batch_b,
-                   d.m, d.k, d.n);
-    });
   }
 
   Tensor ad = a.Detach(), bd = b.Detach();

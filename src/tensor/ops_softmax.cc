@@ -26,8 +26,8 @@ namespace focus {
 
 namespace {
 // Rows are cheap for small n; shard only when a shard carries at least
-// this many scalar elements so pool dispatch never dominates. The grain
-// is shared with the replay closures (plan_hooks.h).
+// this many scalar elements so pool dispatch never dominates (the grain
+// is defined in plan_hooks.h).
 using plan_hooks::RowGrain;
 }  // namespace
 
@@ -46,23 +46,16 @@ Tensor SoftmaxLastDim(const Tensor& x, float scale) {
   Tensor out = Tensor::Empty(x.shape());
   {
     FOCUS_KERNEL_SCOPE("kernel/softmax");
-    const float* px = x.data();
-    float* po = out.data();
-    ParallelFor(0, rows, RowGrain(n), [&](int64_t r0, int64_t r1) {
-      rows_kern(px + r0 * n, scale, po + r0 * n, r1 - r0, n);
-    });
-    // The scale costs what a separate MulScalar would (one FLOP each).
-    FlopCounter::Add((scale != 1.0f ? 6 : 5) * x.numel());
-  }
-  if (plan_hooks::CaptureActive()) {
-    plan_hooks::Record(
+    plan_hooks::RunStep(
         "Softmax", {x}, out, [rows_kern, scale, rows, n](float* const* bufs) {
-          const float* rx = bufs[0];
-          float* ro = bufs[1];
+          const float* px = bufs[0];
+          float* po = bufs[1];
           ParallelFor(0, rows, RowGrain(n), [&](int64_t r0, int64_t r1) {
-            rows_kern(rx + r0 * n, scale, ro + r0 * n, r1 - r0, n);
+            rows_kern(px + r0 * n, scale, po + r0 * n, r1 - r0, n);
           });
         });
+    // The scale costs what a separate MulScalar would (one FLOP each).
+    FlopCounter::Add((scale != 1.0f ? 6 : 5) * x.numel());
   }
 
   Tensor y_saved = out.Detach();
@@ -98,46 +91,30 @@ Tensor LayerNormLastDim(const Tensor& x, const Tensor& gamma,
   const int64_t rows = x.numel() / n;
 
   Tensor out = Tensor::Empty(x.shape());
-  // Saved statistics for backward (raw buffers, not autograd tensors).
+  // Per-row statistics for backward (raw buffers, not autograd tensors).
+  // A plan has no backward pass to save them for, so replays write them
+  // to per-step slab scratch instead.
   std::vector<float> means(static_cast<size_t>(rows));
   std::vector<float> rstds(static_cast<size_t>(rows));
   {
     FOCUS_KERNEL_SCOPE("kernel/layernorm");
-    const float* px = x.data();
-    const float* pgm = gamma.data();
-    const float* pbt = beta.data();
-    float* po = out.data();
-    float* pmeans = means.data();
-    float* prstds = rstds.data();
     const auto rows_kern = simd::Kernels().layernorm_rows;
-    ParallelFor(0, rows, RowGrain(n), [&](int64_t r0, int64_t r1) {
-      rows_kern(px + r0 * n, pgm, pbt, eps, po + r0 * n, pmeans + r0,
-                prstds + r0, r1 - r0, n);
-    });
+    plan_hooks::RunStep(
+        "LayerNorm", {x, gamma, beta}, out,
+        [rows_kern, rows, n, eps](float* const* bufs) {
+          const float* px = bufs[0];
+          const float* pgm = bufs[1];
+          const float* pbt = bufs[2];
+          float* po = bufs[3];
+          float* pmeans = bufs[4];
+          float* prstds = bufs[5];
+          ParallelFor(0, rows, RowGrain(n), [&](int64_t r0, int64_t r1) {
+            rows_kern(px + r0 * n, pgm, pbt, eps, po + r0 * n, pmeans + r0,
+                      prstds + r0, r1 - r0, n);
+          });
+        },
+        {&means, &rstds});
     FlopCounter::Add(8 * x.numel());
-  }
-  if (plan_hooks::CaptureActive()) {
-    plan_hooks::StepRecord rec;
-    rec.name = "LayerNorm";
-    rec.inputs = {x, gamma, beta};
-    rec.output = out;
-    // means/rstds live in per-step slab scratch at replay time (the
-    // plan has no backward pass to save them for).
-    rec.scratch_numels = {rows, rows};
-    const auto rows_kern = simd::Kernels().layernorm_rows;
-    rec.fn = [rows_kern, rows, n, eps](float* const* bufs) {
-      const float* rx = bufs[0];
-      const float* rgm = bufs[1];
-      const float* rbt = bufs[2];
-      float* ro = bufs[3];
-      float* rmeans = bufs[4];
-      float* rrstds = bufs[5];
-      ParallelFor(0, rows, RowGrain(n), [&](int64_t r0, int64_t r1) {
-        rows_kern(rx + r0 * n, rgm, rbt, eps, ro + r0 * n, rmeans + r0,
-                  rrstds + r0, r1 - r0, n);
-      });
-    };
-    plan_hooks::RecordStep(std::move(rec));
   }
 
   Tensor x_saved = x.Detach();

@@ -18,11 +18,6 @@ void SetCaptureSink(CaptureSink* sink) {
   internal_plan::g_sink.store(sink, std::memory_order_release);
 }
 
-void RecordStep(StepRecord step) {
-  CaptureSink* sink = internal_plan::g_sink.load(std::memory_order_acquire);
-  if (sink != nullptr) sink->OnStep(std::move(step));
-}
-
 void NotifyResult(const char* name, const Tensor& out) {
   CaptureSink* sink = internal_plan::g_sink.load(std::memory_order_acquire);
   if (sink != nullptr) sink->OnResult(name, out);

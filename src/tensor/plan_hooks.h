@@ -1,24 +1,24 @@
 // Capture hooks for tape-free execution plans (src/plan).
 //
-// When a plan capture is active (a CaptureSink is installed), every
-// instrumented op site in ops_*.cc records a StepRecord describing the
-// kernel launch it just performed: its input/output tensors and a
-// replay closure that re-runs the *same* kernel sequence against
-// caller-supplied raw buffers. The closure captures resolved shapes,
-// grains, scalars and kernel pointers by value — never the capture-time
-// buffer addresses — so the plan compiler can rebind it onto slab
-// offsets and per-call input pointers. Fusion is a property of the op
-// (e.g. SoftmaxLastDim's scale), so a plan inherits it from the record.
+// Every instrumented op site in ops_*.cc (and ProtoAttn's assignment
+// step) runs its kernel through RunStep: one closure that reads and
+// writes caller-supplied raw buffers. The eager path runs the closure
+// on the eager buffers; when a plan capture is active (a CaptureSink is
+// installed), the same object is recorded as a StepRecord with the
+// step's input/output tensors. The closure captures resolved shapes,
+// grains, scalars and kernel pointers by value — never buffer
+// addresses — so the plan compiler can rebind it onto slab offsets and
+// per-call input pointers. A plan replay therefore performs the
+// identical IEEE operations in the identical order: bit-identity with
+// eager holds by construction, for both SIMD backends and any thread
+// count. Fusion is a property of the op (e.g. SoftmaxLastDim's scale),
+// so a plan inherits it from the record.
 //
-// Most op sites go through RunStep: the eager path runs the closure
-// itself on the eager buffers, and the capture records that same
-// object, so a plan replay performs the identical IEEE operations in
-// the identical order — bit-identity with eager holds by construction,
-// for both SIMD backends and any thread count. The remaining sites
-// build their closure from the very code the eager path just executed.
+// Only RunStep can construct a StepRecord, so no op can hand a capture
+// a replay body other than the kernel it just ran.
 //
 // MakeResult() additionally notifies the sink of every op output; an
-// output the sink has never seen (an op without a record call, e.g.
+// output the sink has never seen (an op without a RunStep, e.g.
 // Conv2d) marks the capture as failed, and the caller falls back to
 // eager execution permanently for that (model, shape). This makes
 // uninstrumented ops safe rather than silently wrong.
@@ -32,6 +32,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
@@ -45,14 +46,40 @@ namespace plan_hooks {
 // never alias step operands) and sized to the recorded numels.
 using StepFn = std::function<void(float* const* bufs)>;
 
-struct StepRecord {
-  const char* name = "";  // static-lifetime op label, for diagnostics
+// Runs an op's kernel `fn` on the eager buffers, bound as a replay binds
+// them ([inputs..., output, scratch...]), then records that same object
+// as the replay step when a capture is active: eager and planned
+// execution share one kernel body. `scratch` names extra buffers the
+// kernel writes besides its output (LayerNorm's per-row statistics,
+// which its backward reads); a plan records only their sizes and gives
+// the step slab scratch instead. Defined below CaptureSink, which it
+// calls.
+template <typename Fn>
+void RunStep(const char* name, std::vector<Tensor> inputs, Tensor& out,
+             Fn fn, std::initializer_list<std::vector<float>*> scratch = {});
+
+class StepRecord {
+ public:
+  const char* name;  // static-lifetime op label, for diagnostics
   std::vector<Tensor> inputs;
   Tensor output;
   // Extra per-call scratch buffers (floats); lifetime is the step only.
-  // LayerNorm uses two `rows`-sized slots for means/rstds.
   std::vector<int64_t> scratch_numels;
   StepFn fn;
+
+ private:
+  template <typename Fn>
+  friend void RunStep(const char* name, std::vector<Tensor> inputs,
+                      Tensor& out, Fn fn,
+                      std::initializer_list<std::vector<float>*> scratch);
+
+  StepRecord(const char* name, std::vector<Tensor> inputs, Tensor output,
+             std::vector<int64_t> scratch_numels, StepFn fn)
+      : name(name),
+        inputs(std::move(inputs)),
+        output(std::move(output)),
+        scratch_numels(std::move(scratch_numels)),
+        fn(std::move(fn)) {}
 };
 
 class CaptureSink {
@@ -83,35 +110,27 @@ inline bool CaptureActive() {
 // installed is a CHECK failure (captures must not nest).
 void SetCaptureSink(CaptureSink* sink);
 
-void RecordStep(StepRecord step);
 void NotifyResult(const char* name, const Tensor& out);
 void NotifyUnsupported(const char* what);
 void NotifyFree(const float* ptr);
 
-// Convenience wrapper for the common record shape (no scratch).
-inline void Record(const char* name, std::vector<Tensor> inputs,
-                   const Tensor& out, StepFn fn) {
-  StepRecord rec;
-  rec.name = name;
-  rec.inputs = std::move(inputs);
-  rec.output = out;
-  rec.fn = std::move(fn);
-  RecordStep(std::move(rec));
-}
-
-// Runs an op's kernel `fn` on the eager buffers, bound as a replay binds
-// them ([inputs..., output]), then records that same object as the
-// replay step when a capture is active: eager and planned execution
-// share one kernel body.
 template <typename Fn>
 void RunStep(const char* name, std::vector<Tensor> inputs, Tensor& out,
-             Fn fn) {
+             Fn fn, std::initializer_list<std::vector<float>*> scratch) {
   std::vector<float*> bufs;
-  bufs.reserve(inputs.size() + 1);
+  bufs.reserve(inputs.size() + 1 + scratch.size());
   for (const Tensor& t : inputs) bufs.push_back(const_cast<float*>(t.data()));
   bufs.push_back(out.data());
+  for (std::vector<float>* s : scratch) bufs.push_back(s->data());
   fn(bufs.data());
-  if (CaptureActive()) Record(name, std::move(inputs), out, std::move(fn));
+  CaptureSink* sink = internal_plan::g_sink.load(std::memory_order_acquire);
+  if (sink == nullptr) return;
+  std::vector<int64_t> scratch_numels;
+  for (std::vector<float>* s : scratch) {
+    scratch_numels.push_back(static_cast<int64_t>(s->size()));
+  }
+  sink->OnStep(StepRecord(name, std::move(inputs), out,
+                          std::move(scratch_numels), std::move(fn)));
 }
 
 // Shard grain every elementwise op uses for ParallelFor.

@@ -3,8 +3,9 @@
 // forward, the slab lifetime solver's non-overlap property (reconstructed
 // from the DebugLayout listing), the zero-allocator-calls steady-state
 // invariant, shape-guard fallback, planned == eager bit-identity over
-// every elementwise capture hook, and the fail-safe nullptr return for
-// forwards that use uninstrumented ops.
+// the elementwise and Conv1d capture hooks, a replay's FLOP charge equal
+// to eager's, and the fail-safe nullptr return for forwards that use
+// uninstrumented ops.
 #include "plan/plan.h"
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "obs/metrics_registry.h"
 #include "parallel/thread_pool.h"
 #include "tensor/allocator.h"
+#include "tensor/flops.h"
 #include "tensor/ops.h"
 #include "tensor/simd/vec.h"
 #include "tensor/tensor.h"
@@ -353,6 +355,89 @@ TEST(PlanTest, ElementwiseChainPlannedMatchesEager) {
   ASSERT_NE(plan, nullptr);
   EXPECT_EQ(plan->stats().steps, 7);
   ExpectSameBytes(plan->Run(x), eager, "planned vs eager");
+}
+
+// Conv1d's capture hook on the strided unbiased path (the kernel
+// zero-fills each output row itself) and the biased stride-1 SIMD path,
+// at 1 and 4 threads on every backend. A second, different input replays
+// through the same plan onto the output memory the first replay wrote,
+// so a kernel that relied on zeroed memory would fail.
+TEST(PlanTest, Conv1dPlannedMatchesEager) {
+  Rng rng(30);
+  Tensor w_strided = Tensor::Randn({5, 4, 3}, rng);
+  Tensor w = Tensor::Randn({6, 4, 5}, rng);
+  Tensor bias = Tensor::Randn({6}, rng);
+  const std::vector<std::pair<const char*, ExecutionPlan::ForwardFn>> cases = {
+      {"strided conv without bias",
+       [&](const Tensor& in) {
+         return Conv1d(in, w_strided, Tensor(), /*stride=*/2, /*padding=*/3,
+                       /*dilation=*/2);
+       }},
+      {"stride-1 conv with bias",
+       [&](const Tensor& in) {
+         return Conv1d(in, w, bias, /*stride=*/1, /*padding=*/2,
+                       /*dilation=*/1);
+       }},
+  };
+  Tensor x = Tensor::Randn({2, 4, 19}, rng);
+  Tensor x2 = Tensor::Randn({2, 4, 19}, rng);
+  const int threads_before = ThreadPool::Global().num_threads();
+  std::vector<simd::Backend> backends = {simd::Backend::kScalar};
+  if (simd::Avx2Available()) backends.push_back(simd::Backend::kAvx2);
+  for (simd::Backend backend : backends) {
+    ASSERT_TRUE(simd::SetBackend(backend));
+    for (const auto& [what, fn] : cases) {
+      ThreadPool::Global().Resize(1);
+      Tensor eager, eager2;
+      {
+        InferenceModeGuard inference;
+        eager = fn(x);
+        eager2 = fn(x2);
+      }
+      auto plan = ExecutionPlan::Capture(fn, x);
+      ASSERT_NE(plan, nullptr) << what;
+      for (int threads : {1, 4}) {
+        ThreadPool::Global().Resize(threads);
+        ExpectSameBytes(plan->Run(x), eager, what);
+        ExpectSameBytes(plan->Run(x2), eager2, what);
+      }
+    }
+  }
+  ThreadPool::Global().Resize(threads_before);
+  simd::ReinitFromEnv();
+}
+
+// A replay charges the captured forward's FLOPs in bulk; no step closure
+// may charge again, so one Run adds exactly what one eager inference
+// forward adds.
+TEST(PlanTest, ReplayChargesEagerFlopsOnce) {
+  auto model = SmallModel();
+  Rng rng(31);
+  Tensor w = Tensor::Randn({5, 4, 3}, rng);
+  const std::vector<std::pair<ExecutionPlan::ForwardFn, Tensor>> cases = {
+      {[&](const Tensor& in) { return model->Forward(in); },
+       Tensor::Randn({2, 3, 32}, rng)},
+      {[&](const Tensor& in) {
+         return Conv1d(in, w, Tensor(), /*stride=*/2, /*padding=*/3,
+                       /*dilation=*/2);
+       },
+       Tensor::Randn({2, 4, 19}, rng)},
+  };
+  for (const auto& [fn, x] : cases) {
+    int64_t eager_flops = 0;
+    {
+      InferenceModeGuard inference;
+      FlopScope scope;
+      (void)fn(x);
+      eager_flops = scope.Elapsed();
+    }
+    EXPECT_GT(eager_flops, 0);
+    auto plan = ExecutionPlan::Capture(fn, x);
+    ASSERT_NE(plan, nullptr);
+    FlopScope scope;
+    (void)plan->Run(x);
+    EXPECT_EQ(scope.Elapsed(), eager_flops);
+  }
 }
 
 TEST(PlanTest, UninstrumentedOpFailsCaptureAndFallsBackEager) {

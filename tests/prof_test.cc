@@ -187,6 +187,16 @@ TEST_F(ProfTest, RunReportJsonAndAsciiRender) {
   EXPECT_NE(ascii.find("GFLOP/s"), std::string::npos);
 }
 
+// Span names are free text: the JSON report must escape them as the
+// Chrome trace exporter does.
+TEST_F(ProfTest, RunReportJsonEscapesSpanNames) {
+  std::vector<obs::SpanEvent> events;
+  events.push_back(MakeEvent("span \"q\" \\ x", 100, 1000, 64));
+  const std::string json = obs::prof::BuildRunReport(events, 5).ToJson();
+  EXPECT_NE(json.find(R"("name":"span \"q\" \\ x")"), std::string::npos)
+      << json;
+}
+
 TEST_F(ProfTest, BenchReportRoundTrip) {
   obs::BenchReport report = obs::MakeBenchReport(/*threads=*/4);
   // MakeBenchReport fills live provenance; pin what must be non-empty.
