@@ -169,7 +169,6 @@ run_leg_perf() {
     "$dir/BENCH_smoke.json" --threshold-pct=50
 }
 
-LEGS=("${@:-lint default simdoff precision asan tsan}")
 [ $# -gt 0 ] && LEGS=("$@") \
   || LEGS=(lint default simdoff precision asan tsan)
 for leg in "${LEGS[@]}"; do

@@ -21,17 +21,19 @@ const plan::ExecutionPlan* PlannedForecaster::plan_for(
   return nullptr;
 }
 
-bool PlannedForecaster::KnownBadShape(const Shape& shape) {
-  const simd::Backend backend = simd::ActiveBackend();
-  for (auto it = failed_shapes_.begin(); it != failed_shapes_.end(); ++it) {
-    if (it->first != shape) continue;
-    if (it->second == backend) return true;
-    // The capture failed under a different backend; forget the memo and
-    // let the caller retry under the current one.
-    failed_shapes_.erase(it);
-    return false;
+plan::ExecutionPlan* PlannedForecaster::LivePlan(const Tensor& x) {
+  for (auto it = plans_.begin(); it != plans_.end(); ++it) {
+    if (it->first != x.shape()) continue;
+    if (it->second->Matches(x)) return it->second.get();
+    plans_.erase(it);  // captured at another precision
+    return nullptr;
   }
-  return false;
+  return nullptr;
+}
+
+bool PlannedForecaster::KnownBadShape(const Shape& shape) const {
+  return std::find(failed_shapes_.begin(), failed_shapes_.end(), shape) !=
+         failed_shapes_.end();
 }
 
 plan::ExecutionPlan* PlannedForecaster::CaptureShape(const Shape& shape,
@@ -39,7 +41,7 @@ plan::ExecutionPlan* PlannedForecaster::CaptureShape(const Shape& shape,
   auto plan = plan::ExecutionPlan::Capture(
       [this](const Tensor& in) { return model_->Forward(in); }, example);
   if (plan == nullptr) {
-    failed_shapes_.emplace_back(shape, simd::ActiveBackend());
+    failed_shapes_.push_back(shape);
     return nullptr;
   }
   plans_.emplace_back(shape, std::move(plan));
@@ -49,25 +51,13 @@ plan::ExecutionPlan* PlannedForecaster::CaptureShape(const Shape& shape,
 int PlannedForecaster::Prewarm(const std::vector<Shape>& shapes) {
   int compiled = 0;
   for (const Shape& shape : shapes) {
-    const plan::ExecutionPlan* existing = plan_for(shape);
-    // A live plan for the current backend needs no work; a stale one is
-    // dropped and recaptured exactly like Forward() would.
-    if (existing != nullptr) {
-      Rng probe_rng(1);
-      Tensor probe = Tensor::Randn(shape, probe_rng);
-      if (existing->Matches(probe)) continue;
-      plans_.erase(std::remove_if(plans_.begin(), plans_.end(),
-                                  [&](const auto& entry) {
-                                    return entry.first == shape;
-                                  }),
-                   plans_.end());
-    }
     if (KnownBadShape(shape)) continue;
     // The example's values are irrelevant to the captured program —
     // capture records kernel launches, not data — but they do flow
     // through the forward once, so use well-formed random windows.
     Rng rng(1);
     Tensor example = Tensor::Randn(shape, rng);
+    if (LivePlan(example) != nullptr) continue;
     if (CaptureShape(shape, example) != nullptr) {
       ++compiled;
       obs::MetricsRegistry::Get().AddCounter("plan/prewarm");
@@ -92,28 +82,12 @@ int PlannedForecaster::PrewarmBatchSizes(
 
 Tensor PlannedForecaster::Forward(const Tensor& x) {
   FOCUS_CHECK(x.defined());
-  for (auto& [shape, p] : plans_) {
-    if (shape != x.shape()) continue;
-    if (p->Matches(x)) {
-      last_was_planned_ = true;
-      return p->Run(x);
-    }
-    // Same shape but stale backend: drop and recapture below.
-    plans_.erase(std::remove_if(plans_.begin(), plans_.end(),
-                                [&](const auto& entry) {
-                                  return entry.first == x.shape();
-                                }),
-                 plans_.end());
-    break;
+  plan::ExecutionPlan* plan = LivePlan(x);
+  if (plan == nullptr && !KnownBadShape(x.shape())) {
+    plan = CaptureShape(x.shape(), x);
   }
-  if (!KnownBadShape(x.shape())) {
-    plan::ExecutionPlan* plan = CaptureShape(x.shape(), x);
-    if (plan != nullptr) {
-      last_was_planned_ = true;
-      return plan->Run(x);
-    }
-  }
-  last_was_planned_ = false;
+  last_was_planned_ = plan != nullptr;
+  if (last_was_planned_) return plan->Run(x);
   InferenceModeGuard inference;
   return model_->Forward(x);
 }

@@ -3,13 +3,12 @@
 // Wraps any ForecastModel with a per-shape cache of compiled execution
 // plans (src/plan): the first Forward() for an input shape captures and
 // compiles a plan; subsequent calls replay it (zero tensor-allocator
-// calls, no tape). Shapes whose capture failed — the
-// model used an op without a capture hook — are remembered and served
-// eagerly (under InferenceModeGuard) without re-trying every call. A
-// SIMD backend switch invalidates cached plans via the plan guard; the
-// wrapper then recaptures. The failed-shape memo is likewise keyed by
-// the backend that failed: after a backend switch the capture is
-// re-attempted once instead of pinning the shape eager forever.
+// calls, no tape). Shapes whose capture failed — the model used an op
+// without a capture hook — are remembered and served eagerly (under
+// InferenceModeGuard) and never re-tried: which ops a forward runs does
+// not depend on the SIMD backend, so neither does capturability. A plan
+// stays valid across backend switches (plan.h); only a change of the
+// calling thread's PrecisionMode makes the wrapper drop and recapture it.
 //
 // The serving engine (src/serve) calls Prewarm() at startup for the one
 // (1, N, L) shape it serves, so the first request never pays
@@ -32,7 +31,6 @@
 
 #include "core/forecast_model.h"
 #include "plan/plan.h"
-#include "tensor/simd/vec.h"
 
 namespace focus {
 namespace core {
@@ -66,20 +64,19 @@ class PlannedForecaster {
   const plan::ExecutionPlan* plan_for(const Shape& shape) const;
 
  private:
+  // The cached plan that can replay `x`, or nullptr. A plan for x's
+  // shape captured at another precision is dropped.
+  plan::ExecutionPlan* LivePlan(const Tensor& x);
   // Captures `shape`, caching the plan on success and memoizing the
-  // (shape, backend) on failure. Returns the new plan or nullptr.
+  // shape on failure. Returns the new plan or nullptr.
   plan::ExecutionPlan* CaptureShape(const Shape& shape, const Tensor& example);
-  // True when capture already failed for this shape on the *current*
-  // backend; a stale-backend entry is dropped so capture retries.
-  bool KnownBadShape(const Shape& shape);
+  // True when capture already failed for this shape.
+  bool KnownBadShape(const Shape& shape) const;
 
   ForecastModel* model_;  // not owned; must outlive the wrapper
   std::vector<std::pair<Shape, std::unique_ptr<plan::ExecutionPlan>>>
       plans_;
-  // Shapes whose capture failed, with the SIMD backend active at the
-  // time: a backend change invalidates the memo entry (regression-tested
-  // in tests/plan_test.cc).
-  std::vector<std::pair<Shape, simd::Backend>> failed_shapes_;
+  std::vector<Shape> failed_shapes_;  // shapes whose capture failed
   bool last_was_planned_ = false;
 };
 

@@ -121,8 +121,7 @@ Tensor ProtoAttn::Forward(const Tensor& tokens_raw, const Tensor& tokens_emb) {
   // pinning this call's pattern as a constant. The closure holds the
   // precision-resolved bank (the shared_ptr keeps it alive); a plan is
   // captured in inference mode and Plan::Matches() pins the ambient
-  // PrecisionMode, so a plan never replays the wrong variant. The
-  // last_assignment_/last_attention_ diagnostics are not replayed.
+  // PrecisionMode, so a plan never replays the wrong variant.
   const int64_t rows = b * l;
   const bool int8 = Int8Assign();
   Tensor a = Tensor::Empty({b, l, k});
@@ -139,7 +138,11 @@ Tensor ProtoAttn::Forward(const Tensor& tokens_raw, const Tensor& tokens_emb) {
         }
       });
   FlopCounter::Add(3 * rows * k * p);
-  last_assignment_ = a;
+  // The Fig. 13 diagnostics are recorded outside inference mode only, so
+  // an inference forward (eager or planned) writes nothing to the model
+  // and concurrent serving forwards share it read-only.
+  const bool record = !InferenceMode::IsEnabled();
+  if (record) last_assignment_ = a;
 
   // Projections (Eq. 14).
   Tensor c_emb = embed_->Forward(prototypes_);  // (k, d)
@@ -151,7 +154,7 @@ Tensor ProtoAttn::Forward(const Tensor& tokens_raw, const Tensor& tokens_emb) {
   const float scale = 1.0f / std::sqrt(static_cast<float>(d_model_));
   Tensor scores = MatMul(c_q, Transpose(key, 1, 2));
   Tensor attn = SoftmaxLastDim(scores, scale);
-  last_attention_ = attn.Detach();
+  if (record) last_attention_ = attn.Detach();
 
   // Per-prototype context, then scatter back to tokens via A (Eq. 17-18).
   Tensor context = MatMul(attn, value);  // (b, k, d)

@@ -41,8 +41,10 @@ class ProtoAttn : public nn::Module {
   // Returns (B', l, d).
   Tensor Forward(const Tensor& tokens_raw, const Tensor& tokens_emb);
 
-  // Case-study introspection (paper Fig. 13): the last forward's one-hot
-  // assignment matrix (B', l, k) and attention matrix (B', k, l), detached.
+  // Case-study introspection (paper Fig. 13): the one-hot assignment
+  // matrix (B', l, k) and attention matrix (B', k, l), detached, of the
+  // last forward run outside inference mode (grad mode or NoGradGuard).
+  // Inference-mode forwards leave them as they were.
   const Tensor& last_assignment() const { return last_assignment_; }
   const Tensor& last_attention() const { return last_attention_; }
 

@@ -203,7 +203,6 @@ class SlabPacker {
 std::unique_ptr<ExecutionPlan> ExecutionPlan::Capture(
     const ForwardFn& fn, const Tensor& example) {
   FOCUS_CHECK(example.defined()) << "plan capture needs an example input";
-  const simd::KernelTable* backend = &simd::Kernels();
 
   Recorder rec(example);
   const int64_t flops0 = FlopCounter::Count();
@@ -233,7 +232,6 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::Capture(
   std::unique_ptr<ExecutionPlan> plan(new ExecutionPlan());
   plan->input_shape_ = example.shape();
   plan->output_shape_ = result.shape();
-  plan->backend_ = backend;
   plan->precision_ = PrecisionMode::Get();
   plan->stats_.captured_steps = static_cast<int64_t>(steps.size());
   plan->stats_.flops_per_run = flops_per_run;
@@ -387,7 +385,6 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::Capture(
 
 bool ExecutionPlan::Matches(const Tensor& input) const {
   return input.defined() && input.shape() == input_shape_ &&
-         &simd::Kernels() == backend_ &&
          PrecisionMode::Get() == precision_;
 }
 

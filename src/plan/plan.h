@@ -25,9 +25,12 @@
 // kernels the eager forward ran and the compiler needs no fusion pass.
 //
 // Run() patches the caller's input pointer into the pre-resolved
-// per-step buffer tables and replays the closures. A shape or SIMD
-// backend change invalidates the plan — callers check Matches() and
-// fall back to eager (core::PlannedForecaster automates this).
+// per-step buffer tables and replays the closures. The closures hold the
+// SIMD kernel pointers resolved at capture, so after a backend switch a
+// plan keeps running its capture-time kernels; the backends agree bit
+// for bit, so the replay still equals eager under either one. A shape or
+// precision change invalidates the plan — callers check Matches()
+// (core::PlannedForecaster automates this).
 //
 // An op without a capture hook fails the capture (MakeResult notifies
 // the sink of every op output; an unknown buffer means an
@@ -35,11 +38,10 @@
 // ops are safe, never silently wrong.
 //
 // Limitations (documented contract): plans freeze parameter VALUES at
-// capture/fold time, so they serve frozen inference models only; op
-// side effects outside the tensor graph (e.g. ProtoAttn's
-// last_assignment_/last_attention_ diagnostics) are not replayed; the
+// capture/fold time, so they serve frozen inference models only; the
 // returned output tensor is owned by the plan and overwritten by the
-// next Run().
+// next Run(). A plan replays the inference-mode forward, which writes
+// nothing outside its output, so there are no side effects to replay.
 #ifndef FOCUS_PLAN_PLAN_H_
 #define FOCUS_PLAN_PLAN_H_
 
@@ -53,7 +55,6 @@
 #include "tensor/allocator.h"
 #include "tensor/plan_hooks.h"
 #include "tensor/precision.h"
-#include "tensor/simd/vec.h"
 #include "tensor/tensor.h"
 
 namespace focus {
@@ -86,10 +87,9 @@ class ExecutionPlan {
                                                 const Tensor& example);
 
   // True when `input` can be fed to Run(): same shape as the capture
-  // example, the SIMD backend is still the one the plan was compiled
-  // against (closures hold resolved kernel pointers), and the calling
-  // thread's PrecisionMode equals the capture-time mode (the ProtoAttn
-  // assignment closure differs between f32 and int8proto plans).
+  // example, and the calling thread's PrecisionMode equals the
+  // capture-time mode (the ProtoAttn assignment closure differs between
+  // f32 and int8proto plans).
   bool Matches(const Tensor& input) const;
 
   // Replays the program against `input`. Requires Matches(input).
@@ -121,7 +121,6 @@ class ExecutionPlan {
 
   Shape input_shape_;
   Shape output_shape_;
-  const simd::KernelTable* backend_ = nullptr;
   Precision precision_ = Precision::kF32;  // ambient mode at capture
   std::vector<CompiledStep> steps_;
   // (step, operand) slots to patch with the caller's input pointer.

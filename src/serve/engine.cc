@@ -157,8 +157,8 @@ Tensor ForecastEngine::Forecast(const Tensor& window, int64_t entity) {
 }
 
 void ForecastEngine::WorkerLoop(int worker_index) {
-  // Thread-local mode: covers plan Matches() and the eager fallback,
-  // and lets engines at different precisions serve concurrently.
+  // Thread-local mode: the worker's plan was captured at this precision,
+  // and engines at different precisions serve concurrently.
   PrecisionGuard precision(precision_);
   core::PlannedForecaster& forecaster =
       *forecasters_[static_cast<size_t>(worker_index)];
@@ -171,23 +171,11 @@ void ForecastEngine::WorkerLoop(int worker_index) {
 
 void ForecastEngine::Process(core::PlannedForecaster& forecaster,
                              const Request& request) {
-  const Tensor input = BatchOfOne(request.window);
-  const plan::ExecutionPlan* plan = forecaster.plan_for(input.shape());
-  const bool planned = plan != nullptr && plan->Matches(input);
-  Tensor output;
-  if (planned) {
-    // Lock-free replay: the plan is this worker's own, the model's
-    // weights are read-only under it, and no side effects replay.
-    output = forecaster.Forward(input);
-  } else {
-    // Eager fallback (capture failed at prewarm, or the SIMD backend
-    // changed under us): the eager forward records diagnostics into the
-    // shared model, so it serializes.
-    std::lock_guard<std::mutex> lock(model_mu_);
-    InferenceModeGuard inference;
-    output = model_->Forward(input);
-  }
-
+  // The worker's own plan replays lock-free; a model whose capture failed
+  // at prewarm runs the eager inference forward instead. Neither writes
+  // to the shared model, so workers of every engine over it run
+  // concurrently.
+  const Tensor output = forecaster.Forward(BatchOfOne(request.window));
   FOCUS_CHECK_EQ(output.shape().size(), 3u);
   const int64_t horizon = output.shape()[2];
   Tensor result;
@@ -204,7 +192,7 @@ void ForecastEngine::Process(core::PlannedForecaster& forecaster,
   // Account before fulfilling: a caller returning from Wait() must see
   // its own request reflected in stats() and the registry counters.
   requests_.fetch_add(1, std::memory_order_relaxed);
-  (planned ? planned_batches_ : eager_batches_)
+  (forecaster.last_was_planned() ? planned_batches_ : eager_batches_)
       .fetch_add(1, std::memory_order_relaxed);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
   registry.AddCounter("serve/requests");

@@ -9,17 +9,19 @@
 //   * One request, one batch-1 forward: a worker pops ONE request and
 //     replays its own compiled (1, N, L) execution plan
 //     (core::PlannedForecaster, prewarmed at construction) directly on a
-//     view of the request's window — no staging copy, no padding. Plans
-//     touch the model's weights read-only and replay no side effects, so
-//     workers never synchronize on the model. Batch-N plans cost at
-//     least N batch-1 replays, so coalescing requests buys nothing.
-//   * Eager fallback: when a worker's plan is missing (capture failed at
-//     prewarm — an uninstrumented op) or stale (the SIMD backend changed),
-//     the request runs the eager forward, serialized on a model mutex
-//     because the eager forward records diagnostics into the model. It
-//     is the only path that serves an uninstrumented model. The engine
-//     never captures plans while serving: captures are process-global,
-//     so they happen in the constructor only.
+//     view of the request's window — no staging copy, no padding.
+//     Batch-N plans cost at least N batch-1 replays, so coalescing
+//     requests buys nothing.
+//   * Eager fallback: when a worker has no plan (capture failed at
+//     prewarm — an uninstrumented op), the request runs the eager
+//     inference forward. It is the only path that serves an
+//     uninstrumented model. The engine never captures plans while
+//     serving: captures are process-global, so they happen in the
+//     constructor only, and a plan never goes stale (the worker's
+//     precision is fixed, and plans survive SIMD backend switches).
+//   * Shared model, no lock: a plan replay and an inference-mode eager
+//     forward both read the model's weights and write nothing to it, so
+//     the workers of every engine over one model run unsynchronized.
 //   * Requests land on a bounded MPMC queue (request_queue.h). With
 //     warmed caches the request path performs zero global-allocator
 //     calls (AllocatorStats misses/frees_released stay flat — asserted in
@@ -106,7 +108,7 @@ struct EngineStats {
   int64_t requests = 0;         // requests answered
   int64_t batches = 0;          // forwards executed
   int64_t planned_batches = 0;  // forwards replayed from a compiled plan
-  int64_t eager_batches = 0;    // forwards on the serialized eager path
+  int64_t eager_batches = 0;    // forwards on the eager fallback
   int64_t padded_rows = 0;      // always 0: requests are never padded
   int64_t rejected = 0;         // TrySubmit refusals (queue full/closed)
 };
@@ -179,11 +181,6 @@ class ForecastEngine {
   std::mutex lifecycle_mu_;  // guards Start/Shutdown transitions
   bool started_ = false;
   bool shut_down_ = false;
-
-  // Serializes the eager fallback: the eager forward writes diagnostics
-  // into the shared model, so it cannot run concurrently. Plan replays
-  // never take it.
-  std::mutex model_mu_;
 
   std::atomic<int64_t> requests_{0};
   std::atomic<int64_t> planned_batches_{0};

@@ -52,8 +52,8 @@ std::shared_ptr<float[]> AllocateTracked(int64_t numel) {
   });
 }
 
-bool g_grad_enabled = true;
-bool g_inference_mode = false;
+thread_local bool g_grad_enabled = true;
+thread_local bool g_inference_mode = false;
 
 }  // namespace
 

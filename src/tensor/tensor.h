@@ -61,7 +61,8 @@ class TensorImpl {
   std::shared_ptr<float[]> buffer_;
 };
 
-// Thread-global flag controlling whether ops record autograd nodes.
+// Per-thread flag controlling whether ops record autograd nodes. A new
+// thread starts with recording on, whatever other threads have set.
 struct GradMode {
   static bool IsEnabled();
   static void SetEnabled(bool enabled);
@@ -79,11 +80,13 @@ class NoGradGuard {
   bool prev_;
 };
 
-// Thread-global inference-mode flag. Stronger than NoGradGuard: while it
-// is set, creating a tape node is a contract violation (MakeResult
-// CHECK-fails instead of silently recording), so inference paths are
-// guaranteed tape-free even if someone re-enables GradMode inside the
-// scope. Benchmarks, Evaluate, and plan capture all run under it.
+// Per-thread inference-mode flag (off on a new thread). Stronger than
+// NoGradGuard: while it is set, creating a tape node is a contract
+// violation (MakeResult CHECK-fails instead of silently recording), so
+// inference paths are guaranteed tape-free even if someone re-enables
+// GradMode inside the scope. Benchmarks, Evaluate, and plan capture all
+// run under it, and ops with side effects (ProtoAttn's diagnostics) skip
+// them, so an inference forward writes nothing to the model.
 struct InferenceMode {
   static bool IsEnabled();
   static void SetEnabled(bool enabled);

@@ -1,9 +1,12 @@
 // Autograd correctness: finite-difference gradient checks for every
 // differentiable op, plus tape-engine behaviours (accumulation, reuse,
-// detach, NoGradGuard).
+// detach, NoGradGuard, per-thread grad and inference modes).
 #include "tensor/autograd.h"
 
 #include <gtest/gtest.h>
+
+#include <future>
+#include <thread>
 
 #include "tensor/ops.h"
 #include "tests/test_util.h"
@@ -316,6 +319,41 @@ TEST(AutogradTest, NoGradGuardSuppressesGraph) {
   Tensor y = Mul(a, a);
   EXPECT_FALSE(y.requires_grad());
   EXPECT_EQ(y.grad_fn(), nullptr);
+}
+
+// The grad and inference modes are per thread: a guard held on one
+// thread leaves every other thread recording tapes.
+TEST(AutogradTest, ModeFlagsArePerThread) {
+  Tensor a = MakeParam({3}, 47);
+  {
+    InferenceModeGuard inference;  // holds a NoGradGuard too
+    bool grad = false, inference_mode = true, taped = false;
+    std::thread other([&] {
+      grad = GradMode::IsEnabled();
+      inference_mode = InferenceMode::IsEnabled();
+      taped = Mul(a, a).grad_fn() != nullptr;
+    });
+    other.join();
+    EXPECT_TRUE(grad);
+    EXPECT_FALSE(inference_mode);
+    EXPECT_TRUE(taped);
+    EXPECT_FALSE(GradMode::IsEnabled());
+    EXPECT_TRUE(InferenceMode::IsEnabled());
+  }
+  // The other way round: while another thread holds the guards, this
+  // thread still records.
+  std::promise<void> entered, checked;
+  std::thread holder([&] {
+    InferenceModeGuard inference;
+    entered.set_value();
+    checked.get_future().wait();
+  });
+  entered.get_future().wait();
+  EXPECT_TRUE(GradMode::IsEnabled());
+  EXPECT_FALSE(InferenceMode::IsEnabled());
+  EXPECT_NE(Mul(a, a).grad_fn(), nullptr);
+  checked.set_value();
+  holder.join();
 }
 
 TEST(AutogradTest, DiamondGraphAccumulatesBothPaths) {

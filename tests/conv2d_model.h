@@ -1,10 +1,11 @@
-// Test model shared by plan_test and serve_test: a (B, N, L) -> (B, N, L)
+// Test models shared by plan_test and serve_test: a (B, N, L) -> (B, N, L)
 // forecaster whose forward routes through Conv2d, which has no capture
-// hook. Capturing it must fail closed, so every planned front end has to
-// serve it eagerly.
+// hook, and a variant that counts its forwards. Capturing them must fail
+// closed, so every planned front end has to serve them eagerly.
 #ifndef FOCUS_TESTS_CONV2D_MODEL_H_
 #define FOCUS_TESTS_CONV2D_MODEL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -33,6 +34,18 @@ class Conv2dModel : public ForecastModel {
  private:
   Tensor w_;
   Tensor b_;
+};
+
+// Conv2dModel with an entry counter, to observe exactly when a front end
+// re-attempts capture (a capture attempt costs one model forward on top
+// of the eager fallback's). Atomic: serving workers forward concurrently.
+class CountingConv2dModel : public Conv2dModel {
+ public:
+  Tensor Forward(const Tensor& x) override {
+    forwards.fetch_add(1, std::memory_order_relaxed);
+    return Conv2dModel::Forward(x);
+  }
+  std::atomic<int> forwards{0};
 };
 
 }  // namespace focus

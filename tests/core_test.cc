@@ -71,6 +71,43 @@ TEST(ProtoAttnTest, AssignmentMatrixIsOneHot) {
   }
 }
 
+// The Fig. 13 diagnostics are recorded outside inference mode only: an
+// inference forward, which serving and plan capture run, writes nothing
+// to the module.
+TEST(ProtoAttnTest, InferenceForwardLeavesDiagnostics) {
+  Rng rng(7);
+  auto embed = std::make_shared<nn::Linear>(8, 16, rng);
+  ProtoAttn attn(MakePrototypes(4, 8, 8), embed, 16, 0.2f, rng);
+  Rng data_rng(9);
+  Tensor raw = Tensor::Randn({2, 5, 8}, data_rng);
+  Tensor raw2 = Tensor::Randn({3, 6, 8}, data_rng);
+  {
+    InferenceModeGuard inference;
+    attn.Forward(raw, embed->Forward(raw));
+  }
+  EXPECT_FALSE(attn.last_assignment().defined());
+  EXPECT_FALSE(attn.last_attention().defined());
+
+  attn.Forward(raw, embed->Forward(raw));  // grad mode records
+  const Tensor assignment = attn.last_assignment();
+  const Tensor attention = attn.last_attention();
+  EXPECT_EQ(assignment.shape(), (Shape{2, 5, 4}));
+  EXPECT_EQ(attention.shape(), (Shape{2, 4, 5}));
+  {
+    InferenceModeGuard inference;
+    attn.Forward(raw2, embed->Forward(raw2));
+  }
+  EXPECT_EQ(attn.last_assignment().impl(), assignment.impl());
+  EXPECT_EQ(attn.last_attention().impl(), attention.impl());
+
+  {
+    NoGradGuard no_grad;  // no tape, but still records
+    attn.Forward(raw2, embed->Forward(raw2));
+  }
+  EXPECT_EQ(attn.last_assignment().shape(), (Shape{3, 6, 4}));
+  EXPECT_EQ(attn.last_attention().shape(), (Shape{3, 4, 6}));
+}
+
 TEST(ProtoAttnTest, Equation19SameAssignmentSameOutput) {
   // Tokens assigned to the same prototype must receive identical attention
   // output rows (paper Eq. 19) even if their raw values differ.

@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "core/planned_forecaster.h"
 #include "optim/optimizer.h"
 #include "parallel/thread_pool.h"
+#include "plan/plan.h"
 #include "serve/engine.h"
 #include "tensor/allocator.h"
 #include "tensor/flops.h"
@@ -572,18 +574,15 @@ TEST(ParityTest, TrainStepSimdBackendBitIdentical) {
   }
 }
 
-// The execution-plan axis of the bit-identity contract: a compiled plan
-// (src/plan) replays the exact eager kernel sequence, so for FOCUS and
-// the baselines the planned forecast must match the eager inference
-// forward byte-for-byte on every SIMD backend and at every pool size.
-// Fresh models and plans per backend — plan closures pin the kernel
-// table they were captured against.
-TEST(ParityTest, ForecastPlannedVsEagerBitIdentical) {
-  struct Case {
-    const char* name;
-    std::function<std::unique_ptr<ForecastModel>()> make;
-  };
-  const std::vector<Case> cases = {
+// The models every plan parity test runs: FOCUS and two baselines, all
+// over (B, 3, 32) windows.
+struct PlannedCase {
+  const char* name;
+  std::function<std::unique_ptr<ForecastModel>()> make;
+};
+
+std::vector<PlannedCase> PlannedCases() {
+  return {
       {"FOCUS",
        [] {
          core::FocusConfig cfg;
@@ -625,12 +624,18 @@ TEST(ParityTest, ForecastPlannedVsEagerBitIdentical) {
              std::make_unique<baselines::DLinear>(cfg));
        }},
   };
+}
 
+// The execution-plan axis of the bit-identity contract: a compiled plan
+// (src/plan) replays the exact eager kernel sequence, so for FOCUS and
+// the baselines the planned forecast must match the eager inference
+// forward byte-for-byte on every SIMD backend and at every pool size.
+TEST(ParityTest, ForecastPlannedVsEagerBitIdentical) {
   std::vector<simd::Backend> backends = {simd::Backend::kScalar};
   if (simd::Avx2Available()) backends.push_back(simd::Backend::kAvx2);
   for (simd::Backend backend : backends) {
     ASSERT_TRUE(simd::SetBackend(backend));
-    for (const Case& c : cases) {
+    for (const PlannedCase& c : PlannedCases()) {
       auto model = c.make();
       model->SetTraining(false);
       Rng rng(27);
@@ -656,6 +661,47 @@ TEST(ParityTest, ForecastPlannedVsEagerBitIdentical) {
             << (backend == simd::Backend::kAvx2 ? "avx2" : "scalar");
       }
       ThreadPool::Global().Resize(1);
+    }
+  }
+  simd::ReinitFromEnv();
+}
+
+// A plan is not tied to the SIMD backend it was captured under: its
+// closures keep the capture-time kernels, and scalar == AVX2 bit for
+// bit, so a plan replayed after a backend switch still matches the eager
+// forward under the new backend, in both directions.
+TEST(ParityTest, PlanReplayAcrossBackendSwitchBitIdentical) {
+  if (!simd::Avx2Available()) {
+    GTEST_SKIP() << "needs two SIMD backends to switch between";
+  }
+  const std::pair<simd::Backend, simd::Backend> switches[] = {
+      {simd::Backend::kScalar, simd::Backend::kAvx2},
+      {simd::Backend::kAvx2, simd::Backend::kScalar}};
+  for (const auto& [capture_backend, replay_backend] : switches) {
+    for (const PlannedCase& c : PlannedCases()) {
+      auto model = c.make();
+      model->SetTraining(false);
+      Rng rng(28);
+      Tensor x = Tensor::Randn({2, 3, 32}, rng);
+      ASSERT_TRUE(simd::SetBackend(capture_backend));
+      auto plan = plan::ExecutionPlan::Capture(
+          [&](const Tensor& in) { return model->Forward(in); }, x);
+      ASSERT_NE(plan, nullptr) << c.name;
+      ASSERT_TRUE(simd::SetBackend(replay_backend));
+      ASSERT_TRUE(plan->Matches(x)) << c.name;
+      Tensor eager;
+      {
+        InferenceModeGuard inference;
+        eager = model->Forward(x);
+      }
+      Tensor out = plan->Run(x);
+      ASSERT_EQ(out.shape(), eager.shape()) << c.name;
+      EXPECT_EQ(0, std::memcmp(out.data(), eager.data(),
+                               static_cast<size_t>(out.numel()) *
+                                   sizeof(float)))
+          << c.name << " plan captured under "
+          << (capture_backend == simd::Backend::kAvx2 ? "avx2" : "scalar")
+          << " differs from eager after the backend switch";
     }
   }
   simd::ReinitFromEnv();

@@ -1,7 +1,8 @@
 // Tests for the multi-tenant forecast serving engine (src/serve): FIFO,
 // blocking and draining semantics of the request queue, bit-identity of
 // served forecasts against the eager single-request forward on both the
-// planned path and the eager fallback, the zero-global-allocator-calls
+// planned path and the eager fallback (also with two tenant engines
+// sharing one model, unlocked), the zero-global-allocator-calls
 // steady-state contract of the request path, request validation, latency
 // telemetry, and shutdown draining.
 #include "serve/engine.h"
@@ -313,8 +314,8 @@ TEST(ServeTest, PrewarmsOnePlanPerWorker) {
   EXPECT_EQ(registry.CounterValue("plan/prewarm") - prewarm_before, 2);
 }
 
-// A model whose capture fails is served entirely on the serialized eager
-// fallback: concurrent clients on two workers still get the eager bits.
+// A model whose capture fails is served entirely on the eager fallback:
+// concurrent clients on two workers still get the eager bits.
 TEST(ServeTest, EagerFallbackServesUncapturableModel) {
   constexpr int64_t kN = 4, kL = 16;
   Conv2dModel model;
@@ -353,6 +354,55 @@ TEST(ServeTest, EagerFallbackServesUncapturableModel) {
   EXPECT_EQ(stats.requests, kClients * kPerClient);
   EXPECT_EQ(stats.eager_batches, stats.requests);
   EXPECT_EQ(stats.planned_batches, 0);
+}
+
+// Two tenant engines, two workers each, over ONE uncapturable model: the
+// eager fallback takes no lock, so four workers run eager forwards on the
+// shared model at once (the TSan pool legs check that they do not race).
+// Every answer is the eager bits, and after construction each request
+// costs exactly one forward, so no worker ever re-attempts a capture.
+TEST(ServeTest, TenantsShareUncapturableModelWithoutLock) {
+  constexpr int64_t kN = 4, kL = 16;
+  CountingConv2dModel model;
+  model.SetTraining(false);
+  constexpr int kWindows = 6;
+  std::vector<Tensor> windows, refs;
+  for (int i = 0; i < kWindows; ++i) {
+    Rng rng(700 + static_cast<uint64_t>(i));
+    windows.push_back(Tensor::Randn({kN, kL}, rng));
+    InferenceModeGuard inference;
+    refs.push_back(model.Forward(windows.back().Reshape({1, kN, kL}))
+                       .Reshape({kN, kL}));
+  }
+  ServeOptions opts;
+  opts.threads = 2;
+  ForecastEngine tenant_a(&model, kN, kL, opts);
+  ForecastEngine tenant_b(&model, kN, kL, opts);
+  const int forwards_before = model.forwards.load();
+
+  constexpr int kClientsPerTenant = 2;
+  constexpr int kPerClient = 8;
+  std::vector<std::thread> clients;
+  for (ForecastEngine* engine : {&tenant_a, &tenant_b}) {
+    for (int c = 0; c < kClientsPerTenant; ++c) {
+      clients.emplace_back([&, engine, c] {
+        for (int i = 0; i < kPerClient; ++i) {
+          const int w = (i + c) % kWindows;
+          ExpectSameBytes(engine->Forecast(windows[w]), refs[w],
+                          "shared-model eager fallback vs eager");
+        }
+      });
+    }
+  }
+  for (std::thread& t : clients) t.join();
+  constexpr int kRequests = 2 * kClientsPerTenant * kPerClient;
+  EXPECT_EQ(model.forwards.load() - forwards_before, kRequests);
+  for (ForecastEngine* engine : {&tenant_a, &tenant_b}) {
+    const serve::EngineStats stats = engine->stats();
+    EXPECT_EQ(stats.requests, kClientsPerTenant * kPerClient);
+    EXPECT_EQ(stats.eager_batches, stats.requests);
+    EXPECT_EQ(stats.planned_batches, 0);
+  }
 }
 
 TEST(ServeTest, TrySubmitRejectsWhenFullAndShutdownDrains) {
