@@ -9,8 +9,8 @@
 // The per-component section attributes FLOPs / peak memory / wall-clock to
 // the embed / branch / fusion spans via obs::TraceSpan self-FLOPs, and
 // exits nonzero unless they account for the forward exactly: the root
-// span's FLOPs equal the forward's FlopScope delta, the non-kernel spans'
-// self-FLOPs sum to the root's FLOPs, and every focus/* stage is nonzero.
+// span's FLOPs equal the forward's FlopScope delta, the spans' self-FLOPs
+// sum to the root's FLOPs, and every focus/* stage is nonzero.
 //
 // --bench-json=<path> additionally records every (model, L) latency/FLOP
 // probe in the unified bench-result schema (obs/bench_report.h) so
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
     int64_t root_flops = -1, self_sum = 0;
     for (const obs::SpanEvent& ev : events) {
       if (ev.name == "fig6/forward") root_flops = ev.flops;
-      if (ev.name.rfind("kernel/", 0) != 0) self_sum += ev.self_flops;
+      self_sum += ev.self_flops;
     }
     if (root_flops != forward_flops || self_sum != root_flops) {
       identity_ok = false;

@@ -5,15 +5,12 @@
 // active FOCUS_SIMD backend (JSON `label`), so scalar-vs-AVX2 runs are
 // directly comparable in results/BENCH_simd.json.
 //
-// The __has_include guard lets this exact file build against a pre-SIMD
-// checkout too — that is how the PR-over-PR baseline numbers are taken.
-//
 // Output: besides google-benchmark's console/JSON output, the binary can
 // emit the unified bench-result schema (obs/bench_report.h) that
-// scripts/bench_diff.py consumes: pass --focus-bench-json=<path> (or set
-// FOCUS_BENCH_JSON). --smoke restricts the run to one fast shape per hot
-// kernel family with a short min-time — the perf leg of scripts/check.sh
-// uses it to gate regressions against results/BENCH_smoke_baseline.json.
+// scripts/bench_diff.py consumes: pass --focus-bench-json=<path>. --smoke
+// restricts the run to one fast shape per hot kernel family with a short
+// min-time — the perf leg of scripts/check.sh uses it to gate regressions
+// against results/BENCH_smoke_baseline.json.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -22,30 +19,16 @@
 #include <vector>
 
 #include "cluster/segment_clustering.h"
+#include "core/focus_model.h"
+#include "core/planned_forecaster.h"
 #include "core/proto_attn.h"
 #include "nn/attention.h"
+#include "obs/bench_report.h"
 #include "optim/optimizer.h"
 #include "parallel/thread_pool.h"
 #include "tensor/allocator.h"
 #include "tensor/ops.h"
-
-#if __has_include("tensor/simd/vec.h")
 #include "tensor/simd/vec.h"
-#define FOCUS_BENCH_HAVE_SIMD 1
-#endif
-
-#if __has_include("plan/plan.h")
-#include "core/focus_model.h"
-#include "core/planned_forecaster.h"
-#include "plan/plan.h"
-#define FOCUS_BENCH_HAVE_PLAN 1
-#endif
-
-#if __has_include("obs/bench_report.h")
-#include "obs/bench_report.h"
-#include "utils/env.h"
-#define FOCUS_BENCH_HAVE_REPORT 1
-#endif
 
 namespace focus {
 namespace {
@@ -60,17 +43,13 @@ void ReportThreads(benchmark::State& state) {
 
 // Achieved GFLOP/s from the op's true per-iteration FLOP count (the same
 // figure FlopCounter records), plus the active SIMD backend as the run
-// label ("pre-simd" on checkouts that predate the vector layer).
+// label.
 void ReportGflops(benchmark::State& state, int64_t flops_per_iter) {
   state.counters["gflops"] = benchmark::Counter(
       static_cast<double>(flops_per_iter) *
           static_cast<double>(state.iterations()) * 1e-9,
       benchmark::Counter::kIsRate);
-#ifdef FOCUS_BENCH_HAVE_SIMD
   state.SetLabel(simd::BackendName());
-#else
-  state.SetLabel("pre-simd");
-#endif
 }
 
 // Operand bytes moved per op (inputs read + outputs written, ideal
@@ -204,7 +183,6 @@ void BM_ElementwiseExp(benchmark::State& state) {
 }
 BENCHMARK(BM_ElementwiseExp)->Arg(1 << 16)->Arg(1 << 20);
 
-#ifdef FOCUS_BENCH_HAVE_SIMD
 // Raw kernel-table exp: no tensor allocation, no autograd, no pool — the
 // cost of the vectorized polynomial itself, elements/second.
 void BM_VecExp(benchmark::State& state) {
@@ -225,8 +203,6 @@ void BM_VecExp(benchmark::State& state) {
   state.SetLabel(simd::BackendName());
 }
 BENCHMARK(BM_VecExp)->Arg(4096)->Arg(1 << 16);
-
-#endif  // FOCUS_BENCH_HAVE_SIMD
 
 // ProtoAttn forward cost as the token count l grows: expect ~linear time.
 void BM_ProtoAttnForward(benchmark::State& state) {
@@ -345,7 +321,6 @@ void BM_TrainStepLoop(benchmark::State& state) {
 BENCHMARK(BM_TrainStepLoop)->Arg(0)->Arg(512)
     ->Unit(benchmark::kMillisecond);
 
-#ifdef FOCUS_BENCH_HAVE_PLAN
 // Planned vs eager inference on a compact FOCUS configuration — the
 // execution-plan layer's end-to-end effect (no tape bookkeeping, zero
 // allocator calls, folded constant subgraphs). The planned numbers are
@@ -396,9 +371,7 @@ void BM_FocusForecastPlanned(benchmark::State& state) {
 }
 BENCHMARK(BM_FocusForecastPlanned)->Arg(96)->Arg(512)
     ->Unit(benchmark::kMicrosecond);
-#endif  // FOCUS_BENCH_HAVE_PLAN
 
-#ifdef FOCUS_BENCH_HAVE_REPORT
 // Console reporter that additionally captures every finished run as a
 // schema entry (obs/bench_report.h). ns_per_op comes from the raw
 // accumulated real time so entries are comparable regardless of each
@@ -434,7 +407,6 @@ class SchemaCaptureReporter : public benchmark::ConsoleReporter {
 
   std::vector<obs::BenchEntry> entries;
 };
-#endif  // FOCUS_BENCH_HAVE_REPORT
 
 }  // namespace
 }  // namespace focus
@@ -442,9 +414,6 @@ class SchemaCaptureReporter : public benchmark::ConsoleReporter {
 int main(int argc, char** argv) {
   std::string json_path;
   bool smoke = false;
-#ifdef FOCUS_BENCH_HAVE_REPORT
-  json_path = focus::GetEnvOr("FOCUS_BENCH_JSON", "");
-#endif
   std::vector<char*> args;
   const std::string kJsonFlag = "--focus-bench-json=";
   for (int i = 0; i < argc; ++i) {
@@ -480,7 +449,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
     return 1;
   }
-#ifdef FOCUS_BENCH_HAVE_REPORT
   focus::SchemaCaptureReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   if (!json_path.empty()) {
@@ -498,13 +466,6 @@ int main(int argc, char** argv) {
     std::printf("bench report written to %s (%zu entries)\n",
                 json_path.c_str(), report.entries.size());
   }
-#else
-  benchmark::RunSpecifiedBenchmarks();
-  if (!json_path.empty()) {
-    std::fprintf(stderr,
-                 "bench_kernels: schema output unavailable pre-obs\n");
-  }
-#endif
   benchmark::Shutdown();
   return 0;
 }

@@ -23,7 +23,7 @@
 //
 // --smoke: two datasets, capped train steps, short measure windows — the
 // ctest entry. Full runs record results/BENCH_quant.json via
-// --focus-bench-json=<path> (or FOCUS_BENCH_JSON).
+// --focus-bench-json=<path>.
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -39,7 +39,6 @@
 #include "parallel/thread_pool.h"
 #include "serve/engine.h"
 #include "tensor/precision.h"
-#include "utils/env.h"
 
 namespace focus {
 namespace {
@@ -245,7 +244,7 @@ int Run(bool smoke, const std::string& json_path) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string json_path = focus::GetEnvOr("FOCUS_BENCH_JSON", "");
+  std::string json_path;
   const std::string kJsonFlag = "--focus-bench-json=";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];

@@ -22,8 +22,9 @@
 // axis); gflops/items_per_second/threads/label/bytes_per_op are optional
 // context (bytes_per_op — estimated operand bytes moved per op — is
 // emitted only when nonzero, so pre-existing reports parse unchanged).
-// Adopted by bench_kernels (--focus-bench-json=<path> / FOCUS_BENCH_JSON)
-// and bench_fig6_efficiency (--bench-json=<path>).
+// Written by bench_kernels and bench_quant (--focus-bench-json=<path>) and
+// bench_fig6_efficiency (--bench-json=<path>); read back only by
+// scripts/bench_diff.py.
 #ifndef FOCUS_OBS_BENCH_REPORT_H_
 #define FOCUS_OBS_BENCH_REPORT_H_
 
@@ -65,12 +66,8 @@ struct BenchReport {
 // passed in so this library stays independent of the thread pool.
 BenchReport MakeBenchReport(int threads);
 
+// Writes report.ToJson() to `path`, byte for byte.
 Status WriteBenchReport(const BenchReport& report, const std::string& path);
-
-// Minimal parser for the schema above (exact-shape, not a general JSON
-// parser): used by tests for round-trip coverage and by tools that read
-// reports back. Returns false on any structural mismatch.
-bool ParseBenchReport(const std::string& json, BenchReport* out);
 
 }  // namespace obs
 }  // namespace focus

@@ -4,14 +4,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 
 #include "obs/metrics_registry.h"
 #include "obs/prof/run_report.h"
 #include "tensor/allocator.h"
 #include "tensor/flops.h"
 #include "tensor/memory.h"
-#include "tensor/profile_hooks.h"
 #include "utils/env.h"
 #include "utils/flags.h"
 
@@ -32,35 +30,11 @@ int64_t NowUs() {
       .count();
 }
 
-// Per-thread span bookkeeping. `stack` holds the live spans (for depth and
-// parent self-FLOP accounting); `kernel_spans` holds heap spans opened by
-// the kernel begin/end hooks, nullptr for invocations the sampler skipped.
-struct ThreadState {
-  std::vector<TraceSpan*> stack;
-  std::vector<std::unique_ptr<TraceSpan>> kernel_spans;
-  uint64_t kernel_counter = 0;
-};
-
-ThreadState& State() {
-  thread_local ThreadState state;
-  return state;
-}
-
-void KernelBeginHook(const char* name) {
-  ThreadState& state = State();
-  std::unique_ptr<TraceSpan> span;
-  const int rate = Tracer::Get().kernel_sample_rate();
-  if (rate > 0 && state.kernel_counter++ % static_cast<uint64_t>(rate) == 0) {
-    TraceSpan::Options options;
-    options.counts_toward_parent = false;  // sampled: keep parents honest
-    span = std::make_unique<TraceSpan>(name, options);
-  }
-  state.kernel_spans.push_back(std::move(span));
-}
-
-void KernelEndHook() {
-  ThreadState& state = State();
-  if (!state.kernel_spans.empty()) state.kernel_spans.pop_back();
+// This thread's live spans, innermost last (for depth and parent
+// self-FLOP accounting).
+std::vector<TraceSpan*>& Stack() {
+  thread_local std::vector<TraceSpan*> stack;
+  return stack;
 }
 
 void AppendSpanArgs(std::string& out, const SpanEvent& ev) {
@@ -179,13 +153,10 @@ std::vector<std::pair<std::string, SpanStats>> AggregateSpans(
 
 Tracer& Tracer::Get() {
   // Leaked singleton (never destroyed) so the atexit flush and spans in
-  // static destructors stay safe. First use applies FOCUS_TRACE /
-  // FOCUS_OBS_KERNEL_SAMPLE from the environment (0 turns kernel spans
-  // off).
+  // static destructors stay safe. First use applies FOCUS_TRACE from the
+  // environment.
   static Tracer* tracer = [] {
     Tracer* t = new Tracer();
-    t->kernel_sample_ = static_cast<int>(GetEnvIntInRangeOr(
-        "FOCUS_OBS_KERNEL_SAMPLE", t->kernel_sample_, 0, 1 << 20));
     const std::string path = GetEnvOr("FOCUS_TRACE", "");
     if (!path.empty()) t->SetOutput(path);
     // FOCUS_REPORT_JSON: end-of-run roofline report, independent of
@@ -199,12 +170,10 @@ Tracer& Tracer::Get() {
 
 void Tracer::Enable() {
   internal_obs::g_enabled.store(true, std::memory_order_relaxed);
-  SetKernelProfileHooks({&KernelBeginHook, &KernelEndHook});
 }
 
 void Tracer::Disable() {
   internal_obs::g_enabled.store(false, std::memory_order_relaxed);
-  SetKernelProfileHooks({});
 }
 
 void Tracer::SetOutput(const std::string& path) {
@@ -270,11 +239,10 @@ Status Tracer::Flush() {
 TraceSpan::TraceSpan(const char* name, Options options) : name_(name) {
   if (!TracingEnabled()) return;
   active_ = true;
-  counts_toward_parent_ = options.counts_toward_parent;
   planned_ = options.planned;
-  ThreadState& state = State();
-  depth_ = static_cast<int32_t>(state.stack.size());
-  state.stack.push_back(this);
+  std::vector<TraceSpan*>& stack = Stack();
+  depth_ = static_cast<int32_t>(stack.size());
+  stack.push_back(this);
   start_ts_us_ = NowUs();
   start_flops_ = FlopCounter::Count();
   start_allocs_ = MemoryStats::TotalAllocations();
@@ -292,17 +260,13 @@ TraceSpan::TraceSpan(const char* name, Options options) : name_(name) {
 
 TraceSpan::~TraceSpan() {
   if (!active_) return;
-  ThreadState& state = State();
-  if (!state.stack.empty() && state.stack.back() == this) {
-    state.stack.pop_back();
-  }
+  std::vector<TraceSpan*>& stack = Stack();
+  if (!stack.empty() && stack.back() == this) stack.pop_back();
   const int64_t end_ts = NowUs();
   const int64_t inclusive_flops = FlopCounter::Count() - start_flops_;
   const int64_t span_peak = MemoryStats::PeakBytes();
   MemoryStats::SetPeak(std::max(saved_peak_, span_peak));
-  if (counts_toward_parent_ && !state.stack.empty()) {
-    state.stack.back()->child_flops_ += inclusive_flops;
-  }
+  if (!stack.empty()) stack.back()->child_flops_ += inclusive_flops;
   SpanEvent event;
   event.name = name_;
   event.depth = depth_;

@@ -45,7 +45,7 @@ struct SpanEvent {
   int64_t ts_us = 0;       // start time, microseconds since tracer epoch
   int64_t wall_us = 0;
   int64_t flops = 0;       // inclusive
-  int64_t self_flops = 0;  // exclusive of enclosed (non-kernel) spans
+  int64_t self_flops = 0;  // exclusive of enclosed spans
   int64_t peak_bytes = 0;
   int64_t allocs = 0;
   // Caching-allocator behaviour inside the span (inclusive): buffers served
@@ -81,8 +81,7 @@ extern std::atomic<bool> g_enabled;
 }  // namespace internal_obs
 
 // Process-wide collector. First use reads FOCUS_TRACE (Chrome-trace output
-// path) and FOCUS_OBS_KERNEL_SAMPLE (record every Nth kernel invocation,
-// default 16, 0 disables kernel spans).
+// path).
 class Tracer {
  public:
   static Tracer& Get();
@@ -91,7 +90,7 @@ class Tracer {
     return internal_obs::g_enabled.load(std::memory_order_relaxed);
   }
 
-  // Starts in-memory collection (and kernel-hook installation).
+  // Starts in-memory collection.
   void Enable();
   // Stops collection; buffered events stay until Clear().
   void Disable();
@@ -110,8 +109,11 @@ class Tracer {
   Status Flush();
 
   std::string output_path() const;
-  int kernel_sample_rate() const { return kernel_sample_; }
-  void SetKernelSampleRate(int rate) { kernel_sample_ = rate; }
+
+  // No-op: spans are the only trace unit and kernels emit none. Kept only
+  // because perfbench/perfbench.cc still calls it; goes with the next
+  // change to the benchmark.
+  void SetKernelSampleRate(int /*rate*/) {}
 
  private:
   Tracer() = default;
@@ -120,7 +122,6 @@ class Tracer {
   std::vector<SpanEvent> events_;
   std::string path_;
   bool atexit_registered_ = false;
-  int kernel_sample_ = 16;
 };
 
 inline bool TracingEnabled() { return Tracer::Get().enabled(); }
@@ -130,10 +131,6 @@ inline bool TracingEnabled() { return Tracer::Get().enabled(); }
 class TraceSpan {
  public:
   struct Options {
-    // Whether the span's inclusive FLOPs subtract from the parent's
-    // self-FLOPs. Sampled kernel spans set false: they are observations of
-    // a fraction of the work and must not perturb component attribution.
-    bool counts_toward_parent = true;
     // Marks the span as planned execution (src/plan replay); surfaces
     // in exports and the run-report `planned` column.
     bool planned = false;
@@ -148,7 +145,6 @@ class TraceSpan {
  private:
   const char* name_;
   bool active_ = false;
-  bool counts_toward_parent_ = true;
   bool planned_ = false;
   int32_t depth_ = 0;
   int64_t start_ts_us_ = 0;

@@ -25,10 +25,12 @@
 // kernels the eager forward ran and the compiler needs no fusion pass.
 //
 // Run() patches the caller's input pointer into the pre-resolved
-// per-step buffer tables and replays the closures. The closures hold the
-// SIMD kernel pointers resolved at capture, so after a backend switch a
-// plan keeps running its capture-time kernels; the backends agree bit
-// for bit, so the replay still equals eager under either one. A shape or
+// per-step buffer tables and replays the closures. Some closures hold SIMD
+// kernel pointers resolved at capture (Softmax, LayerNorm); others call
+// simd::Kernels() on every run (MatMul, Conv1d). After a backend switch a
+// replay may therefore mix capture-time and current kernels; the backends
+// agree bit for bit, so it still equals eager under either one
+// (ParityTest.PlanReplayAcrossBackendSwitchBitIdentical). A shape or
 // precision change invalidates the plan — callers check Matches()
 // (core::PlannedForecaster automates this).
 //

@@ -25,7 +25,6 @@
 #include "tensor/ops.h"
 #include "tensor/ops_common.h"
 #include "tensor/plan_hooks.h"
-#include "tensor/profile_hooks.h"
 #include "tensor/simd/vec.h"
 
 namespace focus {
@@ -62,54 +61,50 @@ Tensor Conv1d(const Tensor& x, const Tensor& w, const Tensor& bias,
   // The kernel initializes every row itself (bias fill, or zero-fill
   // without bias): a plan replays it onto recycled slab memory.
   Tensor out = Tensor::Empty({B, Cout, Lout});
-  {
-    FOCUS_KERNEL_SCOPE("kernel/conv1d");
-    std::vector<Tensor> ins = has_bias ? std::vector<Tensor>{x, w, bias}
-                                       : std::vector<Tensor>{x, w};
-    plan_hooks::RunStep(
-        "Conv1d", std::move(ins), out,
-        [has_bias, B, Cin, L, Cout, K, Lout, stride, padding,
-         dilation](float* const* bufs) {
-          const float* px = bufs[0];
-          const float* pw = bufs[1];
-          const float* pb = has_bias ? bufs[2] : nullptr;
-          float* po = bufs[has_bias ? 3 : 2];
-          const simd::KernelTable& kt = simd::Kernels();
-          ParallelFor(0, B * Cout, 1, [&](int64_t r0, int64_t r1) {
-            for (int64_t r = r0; r < r1; ++r) {
-              const int64_t b = r / Cout, co = r % Cout;
-              float* orow = po + r * Lout;
-              if (pb != nullptr) {
-                const float bv = pb[co];
-                for (int64_t lo = 0; lo < Lout; ++lo) orow[lo] = bv;
-              } else {
-                std::memset(orow, 0, sizeof(float) * Lout);
-              }
-              for (int64_t ci = 0; ci < Cin; ++ci) {
-                const float* xrow = px + (b * Cin + ci) * L;
-                const float* wrow = pw + (co * Cin + ci) * K;
-                for (int64_t kk = 0; kk < K; ++kk) {
-                  const float wv = wrow[kk];
-                  const int64_t base = kk * dilation - padding;
-                  if (stride == 1) {
-                    int64_t lo0, lo1;
-                    ValidRange(base, L, Lout, &lo0, &lo1);
-                    if (lo1 > lo0)
-                      kt.axpy(wv, xrow + lo0 + base, orow + lo0,
-                              lo1 - lo0);
-                  } else {
-                    for (int64_t lo = 0; lo < Lout; ++lo) {
-                      const int64_t li = lo * stride + base;
-                      if (li >= 0 && li < L) orow[lo] += wv * xrow[li];
-                    }
+  std::vector<Tensor> ins = has_bias ? std::vector<Tensor>{x, w, bias}
+                                     : std::vector<Tensor>{x, w};
+  plan_hooks::RunStep(
+      "Conv1d", std::move(ins), out,
+      [has_bias, B, Cin, L, Cout, K, Lout, stride, padding,
+       dilation](float* const* bufs) {
+        const float* px = bufs[0];
+        const float* pw = bufs[1];
+        const float* pb = has_bias ? bufs[2] : nullptr;
+        float* po = bufs[has_bias ? 3 : 2];
+        const simd::KernelTable& kt = simd::Kernels();
+        ParallelFor(0, B * Cout, 1, [&](int64_t r0, int64_t r1) {
+          for (int64_t r = r0; r < r1; ++r) {
+            const int64_t b = r / Cout, co = r % Cout;
+            float* orow = po + r * Lout;
+            if (pb != nullptr) {
+              const float bv = pb[co];
+              for (int64_t lo = 0; lo < Lout; ++lo) orow[lo] = bv;
+            } else {
+              std::memset(orow, 0, sizeof(float) * Lout);
+            }
+            for (int64_t ci = 0; ci < Cin; ++ci) {
+              const float* xrow = px + (b * Cin + ci) * L;
+              const float* wrow = pw + (co * Cin + ci) * K;
+              for (int64_t kk = 0; kk < K; ++kk) {
+                const float wv = wrow[kk];
+                const int64_t base = kk * dilation - padding;
+                if (stride == 1) {
+                  int64_t lo0, lo1;
+                  ValidRange(base, L, Lout, &lo0, &lo1);
+                  if (lo1 > lo0)
+                    kt.axpy(wv, xrow + lo0 + base, orow + lo0, lo1 - lo0);
+                } else {
+                  for (int64_t lo = 0; lo < Lout; ++lo) {
+                    const int64_t li = lo * stride + base;
+                    if (li >= 0 && li < L) orow[lo] += wv * xrow[li];
                   }
                 }
               }
             }
-          });
+          }
         });
-    FlopCounter::Add(2 * B * Cout * Lout * Cin * K);
-  }
+      });
+  FlopCounter::Add(2 * B * Cout * Lout * Cin * K);
 
   Tensor xd = x.Detach(), wd = w.Detach();
   return autograd::MakeResult(
@@ -206,53 +201,49 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
   if (bias.defined()) FOCUS_CHECK_EQ(bias.numel(), Cout);
 
   Tensor out = Tensor::Zeros({B, Cout, Hout, Wout});
-  {
-    FOCUS_KERNEL_SCOPE("kernel/conv2d");
-    const float* px = x.data();
-    const float* pw = w.data();
-    const float* pb = bias.defined() ? bias.data() : nullptr;
-    float* po = out.data();
-    const simd::KernelTable& kt = simd::Kernels();
-    ParallelFor(0, B * Cout, 1, [&](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        const int64_t b = r / Cout, co = r % Cout;
-        float* oplane = po + r * Hout * Wout;
-        if (pb != nullptr) {
-          const float bv = pb[co];
-          for (int64_t i = 0; i < Hout * Wout; ++i) oplane[i] = bv;
-        }
-        for (int64_t ci = 0; ci < Cin; ++ci) {
-          const float* xplane = px + (b * Cin + ci) * H * W;
-          const float* wplane = pw + (co * Cin + ci) * KH * KW;
-          for (int64_t kh = 0; kh < KH; ++kh) {
-            for (int64_t kw = 0; kw < KW; ++kw) {
-              const float wv = wplane[kh * KW + kw];
-              const int64_t base_w = kw - padding;
-              for (int64_t ho = 0; ho < Hout; ++ho) {
-                const int64_t hi = ho * stride + kh - padding;
-                if (hi < 0 || hi >= H) continue;
-                float* orow = oplane + ho * Wout;
-                const float* xrow = xplane + hi * W;
-                if (stride == 1) {
-                  int64_t wo0, wo1;
-                  ValidRange(base_w, W, Wout, &wo0, &wo1);
-                  if (wo1 > wo0)
-                    kt.axpy(wv, xrow + wo0 + base_w, orow + wo0,
-                            wo1 - wo0);
-                } else {
-                  for (int64_t wo = 0; wo < Wout; ++wo) {
-                    const int64_t wi = wo * stride + base_w;
-                    if (wi >= 0 && wi < W) orow[wo] += wv * xrow[wi];
-                  }
+  const float* px = x.data();
+  const float* pw = w.data();
+  const float* pb = bias.defined() ? bias.data() : nullptr;
+  float* po = out.data();
+  const simd::KernelTable& kt = simd::Kernels();
+  ParallelFor(0, B * Cout, 1, [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      const int64_t b = r / Cout, co = r % Cout;
+      float* oplane = po + r * Hout * Wout;
+      if (pb != nullptr) {
+        const float bv = pb[co];
+        for (int64_t i = 0; i < Hout * Wout; ++i) oplane[i] = bv;
+      }
+      for (int64_t ci = 0; ci < Cin; ++ci) {
+        const float* xplane = px + (b * Cin + ci) * H * W;
+        const float* wplane = pw + (co * Cin + ci) * KH * KW;
+        for (int64_t kh = 0; kh < KH; ++kh) {
+          for (int64_t kw = 0; kw < KW; ++kw) {
+            const float wv = wplane[kh * KW + kw];
+            const int64_t base_w = kw - padding;
+            for (int64_t ho = 0; ho < Hout; ++ho) {
+              const int64_t hi = ho * stride + kh - padding;
+              if (hi < 0 || hi >= H) continue;
+              float* orow = oplane + ho * Wout;
+              const float* xrow = xplane + hi * W;
+              if (stride == 1) {
+                int64_t wo0, wo1;
+                ValidRange(base_w, W, Wout, &wo0, &wo1);
+                if (wo1 > wo0)
+                  kt.axpy(wv, xrow + wo0 + base_w, orow + wo0, wo1 - wo0);
+              } else {
+                for (int64_t wo = 0; wo < Wout; ++wo) {
+                  const int64_t wi = wo * stride + base_w;
+                  if (wi >= 0 && wi < W) orow[wo] += wv * xrow[wi];
                 }
               }
             }
           }
         }
       }
-    });
-    FlopCounter::Add(2 * B * Cout * Hout * Wout * Cin * KH * KW);
-  }
+    }
+  });
+  FlopCounter::Add(2 * B * Cout * Hout * Wout * Cin * KH * KW);
 
   Tensor xd = x.Detach(), wd = w.Detach();
   const bool has_bias = bias.defined();

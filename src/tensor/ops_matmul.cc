@@ -18,7 +18,6 @@
 #include "tensor/ops.h"
 #include "tensor/ops_common.h"
 #include "tensor/plan_hooks.h"
-#include "tensor/profile_hooks.h"
 #include "tensor/simd/vec.h"
 
 namespace focus {
@@ -91,19 +90,18 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   const bool batched_out = (a.dim() == 3 || b.dim() == 3);
   Shape out_shape = batched_out ? Shape{d.batch, d.m, d.n} : Shape{d.m, d.n};
   Tensor out = Tensor::Empty(out_shape);
-  {
-    FOCUS_KERNEL_SCOPE("kernel/matmul");
-    // MatMulKernel resolves the row-block kernel from the active table
-    // on every run; a plan's guard pins the backend for replays.
-    plan_hooks::RunStep("MatMul", {a, b}, out, [d](float* const* bufs) {
-      MatMulKernel(bufs[0], bufs[1], bufs[2], d.batch, d.batch_a, d.batch_b,
-                   d.m, d.k, d.n);
-    });
-    // Counted once from the resolved dims, on the launching thread, outside
-    // the parallel region: the executed work is 2·batch·m·n·k regardless of
-    // which operand (if either) broadcasts its batch dimension.
-    FlopCounter::Add(2 * d.batch * d.m * d.n * d.k);
-  }
+  // MatMulKernel resolves the row-block kernel from the active table on
+  // every run, eager or replayed, so a replay uses the backend active at
+  // replay time; scalar and AVX2 give the same bits either way
+  // (ParityTest.PlanReplayAcrossBackendSwitchBitIdentical).
+  plan_hooks::RunStep("MatMul", {a, b}, out, [d](float* const* bufs) {
+    MatMulKernel(bufs[0], bufs[1], bufs[2], d.batch, d.batch_a, d.batch_b,
+                 d.m, d.k, d.n);
+  });
+  // Counted once from the resolved dims, on the launching thread, outside
+  // the parallel region: the executed work is 2·batch·m·n·k regardless of
+  // which operand (if either) broadcasts its batch dimension.
+  FlopCounter::Add(2 * d.batch * d.m * d.n * d.k);
 
   Tensor ad = a.Detach(), bd = b.Detach();
   return autograd::MakeResult(

@@ -19,7 +19,6 @@
 #include "tensor/ops.h"
 #include "tensor/ops_common.h"
 #include "tensor/plan_hooks.h"
-#include "tensor/profile_hooks.h"
 #include "tensor/simd/vec.h"
 
 namespace focus {
@@ -44,19 +43,16 @@ Tensor SoftmaxLastDim(const Tensor& x, float scale) {
   const int64_t rows = x.numel() / n;
   const auto rows_kern = simd::Kernels().softmax_rows;
   Tensor out = Tensor::Empty(x.shape());
-  {
-    FOCUS_KERNEL_SCOPE("kernel/softmax");
-    plan_hooks::RunStep(
-        "Softmax", {x}, out, [rows_kern, scale, rows, n](float* const* bufs) {
-          const float* px = bufs[0];
-          float* po = bufs[1];
-          ParallelFor(0, rows, RowGrain(n), [&](int64_t r0, int64_t r1) {
-            rows_kern(px + r0 * n, scale, po + r0 * n, r1 - r0, n);
-          });
+  plan_hooks::RunStep(
+      "Softmax", {x}, out, [rows_kern, scale, rows, n](float* const* bufs) {
+        const float* px = bufs[0];
+        float* po = bufs[1];
+        ParallelFor(0, rows, RowGrain(n), [&](int64_t r0, int64_t r1) {
+          rows_kern(px + r0 * n, scale, po + r0 * n, r1 - r0, n);
         });
-    // The scale costs what a separate MulScalar would (one FLOP each).
-    FlopCounter::Add((scale != 1.0f ? 6 : 5) * x.numel());
-  }
+      });
+  // The scale costs what a separate MulScalar would (one FLOP each).
+  FlopCounter::Add((scale != 1.0f ? 6 : 5) * x.numel());
 
   Tensor y_saved = out.Detach();
   return autograd::MakeResult(
@@ -96,26 +92,23 @@ Tensor LayerNormLastDim(const Tensor& x, const Tensor& gamma,
   // to per-step slab scratch instead.
   std::vector<float> means(static_cast<size_t>(rows));
   std::vector<float> rstds(static_cast<size_t>(rows));
-  {
-    FOCUS_KERNEL_SCOPE("kernel/layernorm");
-    const auto rows_kern = simd::Kernels().layernorm_rows;
-    plan_hooks::RunStep(
-        "LayerNorm", {x, gamma, beta}, out,
-        [rows_kern, rows, n, eps](float* const* bufs) {
-          const float* px = bufs[0];
-          const float* pgm = bufs[1];
-          const float* pbt = bufs[2];
-          float* po = bufs[3];
-          float* pmeans = bufs[4];
-          float* prstds = bufs[5];
-          ParallelFor(0, rows, RowGrain(n), [&](int64_t r0, int64_t r1) {
-            rows_kern(px + r0 * n, pgm, pbt, eps, po + r0 * n, pmeans + r0,
-                      prstds + r0, r1 - r0, n);
-          });
-        },
-        {&means, &rstds});
-    FlopCounter::Add(8 * x.numel());
-  }
+  const auto rows_kern = simd::Kernels().layernorm_rows;
+  plan_hooks::RunStep(
+      "LayerNorm", {x, gamma, beta}, out,
+      [rows_kern, rows, n, eps](float* const* bufs) {
+        const float* px = bufs[0];
+        const float* pgm = bufs[1];
+        const float* pbt = bufs[2];
+        float* po = bufs[3];
+        float* pmeans = bufs[4];
+        float* prstds = bufs[5];
+        ParallelFor(0, rows, RowGrain(n), [&](int64_t r0, int64_t r1) {
+          rows_kern(px + r0 * n, pgm, pbt, eps, po + r0 * n, pmeans + r0,
+                    prstds + r0, r1 - r0, n);
+        });
+      },
+      {&means, &rstds});
+  FlopCounter::Add(8 * x.numel());
 
   Tensor x_saved = x.Detach();
   Tensor gamma_saved = gamma.Detach();

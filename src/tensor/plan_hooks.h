@@ -6,9 +6,9 @@
 // on the eager buffers; when a plan capture is active (a CaptureSink is
 // installed), the same object is recorded as a StepRecord with the
 // step's input/output tensors. The closure captures resolved shapes,
-// grains, scalars and kernel pointers by value — never buffer
-// addresses — so the plan compiler can rebind it onto slab offsets and
-// per-call input pointers. A plan replay therefore performs the
+// grains, scalars and (for some ops) kernel pointers by value — never
+// buffer addresses — so the plan compiler can rebind it onto slab
+// offsets and per-call input pointers. A plan replay therefore performs the
 // identical IEEE operations in the identical order: bit-identity with
 // eager holds by construction, for both SIMD backends and any thread
 // count. Fusion is a property of the op (e.g. SoftmaxLastDim's scale),

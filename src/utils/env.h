@@ -1,5 +1,5 @@
 // Environment-variable helpers used by the harness profiles and runtime
-// configuration (FOCUS_NUM_THREADS, FOCUS_OBS_KERNEL_SAMPLE, ...).
+// configuration (FOCUS_NUM_THREADS, FOCUS_TRACE, ...).
 //
 // Integer parsing is strict: a set-but-malformed value (garbage, trailing
 // characters, overflow, or out of the caller's accepted range) never

@@ -1,5 +1,5 @@
 // Unit tests for the obs subsystem: TraceSpan attribution, Chrome-trace
-// export, the disabled path, kernel-span sampling, and the MetricsRegistry.
+// export, the disabled path, and the MetricsRegistry.
 #include "obs/trace.h"
 
 #include <cstdio>
@@ -13,9 +13,7 @@
 #include "tensor/allocator.h"
 #include "tensor/flops.h"
 #include "tensor/memory.h"
-#include "tensor/ops.h"
 #include "tensor/tensor.h"
-#include "utils/env.h"
 
 namespace focus {
 namespace {
@@ -227,30 +225,6 @@ TEST_F(ObsTest, AggregateSpansPreservesFirstUseOrder) {
   const std::vector<std::string> expected = {"zeta", "alpha", "mid"};
   EXPECT_EQ(names, expected);
   EXPECT_EQ(StatsFor(agg, "zeta").count, 2);
-}
-
-// FOCUS_OBS_KERNEL_SAMPLE sets the kernel-span sampling rate (default 16)
-// and 0 turns kernel spans off. The obs_test_kernel_sample_off ctest entry
-// reruns this test with the variable set to 0.
-TEST_F(ObsTest, KernelSampleRateFollowsEnv) {
-  const std::string env = GetEnvOr("FOCUS_OBS_KERNEL_SAMPLE", "");
-  const int expected = env.empty() ? 16 : std::stoi(env);
-  auto& tracer = obs::Tracer::Get();
-  EXPECT_EQ(tracer.kernel_sample_rate(), expected);
-
-  Tensor a = Tensor::Ones({8, 8});
-  tracer.Enable();
-  for (int i = 0; i < 32; ++i) MatMul(a, a);
-  tracer.Disable();
-  int kernel_spans = 0;
-  for (const obs::SpanEvent& ev : tracer.Snapshot()) {
-    if (ev.name.rfind("kernel/", 0) == 0) ++kernel_spans;
-  }
-  if (expected == 0) {
-    EXPECT_EQ(kernel_spans, 0);
-  } else {
-    EXPECT_GE(kernel_spans, 32 / expected);
-  }
 }
 
 TEST_F(ObsTest, SpansAndExportsCarryAllocatorCounters) {

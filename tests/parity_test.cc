@@ -666,10 +666,11 @@ TEST(ParityTest, ForecastPlannedVsEagerBitIdentical) {
   simd::ReinitFromEnv();
 }
 
-// A plan is not tied to the SIMD backend it was captured under: its
-// closures keep the capture-time kernels, and scalar == AVX2 bit for
-// bit, so a plan replayed after a backend switch still matches the eager
-// forward under the new backend, in both directions.
+// A plan is not tied to the SIMD backend it was captured under: some of
+// its closures keep the capture-time kernels and others (MatMul, Conv1d)
+// look theirs up on every run, and scalar == AVX2 bit for bit, so a plan
+// replayed after a backend switch still matches the eager forward under
+// the new backend, in both directions.
 TEST(ParityTest, PlanReplayAcrossBackendSwitchBitIdentical) {
   if (!simd::Avx2Available()) {
     GTEST_SKIP() << "needs two SIMD backends to switch between";

@@ -1,6 +1,6 @@
 // Tests for the profiling subsystem (src/obs/prof) and the unified bench
 // schema: roofline fields in the span export, RunReport top-N ordering and
-// JSON shape, and the bench-report round trip.
+// JSON shape, and the bench-report JSON text.
 #include "obs/prof/run_report.h"
 
 #include <cstdio>
@@ -197,76 +197,60 @@ TEST_F(ProfTest, RunReportJsonEscapesSpanNames) {
       << json;
 }
 
-TEST_F(ProfTest, BenchReportRoundTrip) {
-  obs::BenchReport report = obs::MakeBenchReport(/*threads=*/4);
-  // MakeBenchReport fills live provenance; pin what must be non-empty.
-  EXPECT_FALSE(report.date.empty());
-  EXPECT_FALSE(report.simd_backend.empty());
-  EXPECT_GT(report.num_cpus, 0);
-
-  report.note = "round trip \"quoted\" note";
-  obs::BenchEntry entry;
-  entry.name = "BM_MatMul/256";
-  entry.ns_per_op = 1234.5625;  // exactly representable
-  entry.gflops = 27.25;
-  entry.items_per_second = 1e9;
-  entry.threads = 4.0;
-  entry.label = "avx2";
-  report.entries.push_back(entry);
-  obs::BenchEntry minimal;
+// A report with every field set by hand, so its JSON is fixed text.
+obs::BenchReport PinnedBenchReport() {
+  obs::BenchReport report;
+  report.date = "2026-01-02T03:04:05Z";
+  report.note = "pinned \"quoted\" note";
+  report.cpu_model = "Test CPU @ 2.00GHz";
+  report.num_cpus = 8;
+  report.git_sha = "abc1234";
+  report.simd_backend = "avx2";
+  report.build_type = "Release";
+  report.threads = 4;
+  obs::BenchEntry full;
+  full.name = "BM_MatMul/\"256\"";
+  full.ns_per_op = 1234.5625;  // exactly representable
+  full.gflops = 27.25;
+  full.items_per_second = 1e9;
+  full.threads = 4.0;
+  full.bytes_per_op = 4096.0;
+  full.label = "avx2\\fma";
+  report.entries.push_back(full);
+  obs::BenchEntry minimal;  // zero bytes_per_op: the field is omitted
   minimal.name = "BM_SoftmaxLastDim/128";
   minimal.ns_per_op = 50.0;
   report.entries.push_back(minimal);
-
-  const std::string json = report.ToJson();
-  EXPECT_TRUE(JsonBalanced(json)) << json;
-  EXPECT_NE(json.find("\"focus_bench_schema\":1"), std::string::npos);
-
-  obs::BenchReport parsed;
-  ASSERT_TRUE(obs::ParseBenchReport(json, &parsed)) << json;
-  EXPECT_EQ(parsed.date, report.date);
-  EXPECT_EQ(parsed.note, report.note);
-  EXPECT_EQ(parsed.cpu_model, report.cpu_model);
-  EXPECT_EQ(parsed.num_cpus, report.num_cpus);
-  EXPECT_EQ(parsed.git_sha, report.git_sha);
-  EXPECT_EQ(parsed.simd_backend, report.simd_backend);
-  EXPECT_EQ(parsed.build_type, report.build_type);
-  EXPECT_EQ(parsed.threads, report.threads);
-  ASSERT_EQ(parsed.entries.size(), report.entries.size());
-  for (size_t i = 0; i < parsed.entries.size(); ++i) {
-    EXPECT_EQ(parsed.entries[i].name, report.entries[i].name);
-    EXPECT_DOUBLE_EQ(parsed.entries[i].ns_per_op,
-                     report.entries[i].ns_per_op);
-    EXPECT_DOUBLE_EQ(parsed.entries[i].gflops, report.entries[i].gflops);
-    EXPECT_DOUBLE_EQ(parsed.entries[i].items_per_second,
-                     report.entries[i].items_per_second);
-    EXPECT_DOUBLE_EQ(parsed.entries[i].threads, report.entries[i].threads);
-    EXPECT_EQ(parsed.entries[i].label, report.entries[i].label);
-  }
+  return report;
 }
 
-TEST_F(ProfTest, ParseBenchReportRejectsWrongSchema) {
-  obs::BenchReport parsed;
-  EXPECT_FALSE(obs::ParseBenchReport("{}", &parsed));
-  EXPECT_FALSE(obs::ParseBenchReport("not json at all", &parsed));
-  EXPECT_FALSE(obs::ParseBenchReport(
-      "{\"focus_bench_schema\":2,\"benchmarks\":[]}", &parsed));
+// What scripts/bench_diff.py reads: the schema's exact text, with names,
+// note and label escaped and doubles in round-trip %.17g form.
+const char kPinnedBenchJson[] =
+    R"json({"focus_bench_schema":1,"date":"2026-01-02T03:04:05Z",)json"
+    R"json("note":"pinned \"quoted\" note",)json"
+    R"json("machine":{"cpu_model":"Test CPU @ 2.00GHz","num_cpus":8},)json"
+    R"json("build":{"git_sha":"abc1234","simd_backend":"avx2",)json"
+    R"json("build_type":"Release","threads":4},"benchmarks":[)json"
+    "\n"
+    R"json({"name":"BM_MatMul/\"256\"","ns_per_op":1234.5625,)json"
+    R"json("gflops":27.25,"items_per_second":1000000000,"threads":4,)json"
+    R"json("bytes_per_op":4096,"label":"avx2\\fma"},)json"
+    "\n"
+    R"json({"name":"BM_SoftmaxLastDim/128","ns_per_op":50,"gflops":0,)json"
+    R"json("items_per_second":0,"threads":0,"label":""})json"
+    "\n]}\n";
+
+TEST_F(ProfTest, BenchReportJsonMatchesSchemaText) {
+  EXPECT_EQ(PinnedBenchReport().ToJson(), kPinnedBenchJson);
 }
 
-TEST_F(ProfTest, WriteBenchReportCreatesParsableFile) {
-  obs::BenchReport report = obs::MakeBenchReport(1);
-  obs::BenchEntry entry;
-  entry.name = "BM_Probe";
-  entry.ns_per_op = 42.0;
-  report.entries.push_back(entry);
+TEST_F(ProfTest, WriteBenchReportWritesToJsonBytes) {
   const std::string path = "prof_test_bench.json";
-  ASSERT_TRUE(obs::WriteBenchReport(report, path).ok());
+  ASSERT_TRUE(obs::WriteBenchReport(PinnedBenchReport(), path).ok());
   const std::string text = ReadFile(path);
   std::remove(path.c_str());
-  obs::BenchReport parsed;
-  EXPECT_TRUE(obs::ParseBenchReport(text, &parsed));
-  ASSERT_EQ(parsed.entries.size(), 1u);
-  EXPECT_EQ(parsed.entries[0].name, "BM_Probe");
+  EXPECT_EQ(text, kPinnedBenchJson);
 }
 
 }  // namespace
