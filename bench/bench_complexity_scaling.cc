@@ -2,13 +2,21 @@
 // FLOPs of FOCUS must scale linearly in both the input length L and the
 // entity count N, while the FOCUS-Attn ablation picks up a quadratic term
 // in the token count. We fit log-log slopes over measured FLOP counts.
+// A third sweep times ProtoAttn alone over the prototype count k, so its
+// linear-in-k cost is checked in nanoseconds as well as in FLOPs.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "core/focus_model.h"
+#include "core/proto_attn.h"
 #include "harness/experiments.h"
 #include "metrics/metrics.h"
+#include "nn/layers.h"
+#include "tensor/flops.h"
+#include "utils/stopwatch.h"
 #include "utils/table.h"
 
 namespace {
@@ -46,6 +54,37 @@ int64_t FocusFlops(core::FocusVariant variant, int64_t length,
   core::FocusModel model(cfg, protos);
   Tensor sample = Tensor::Randn({1, entities, length}, rng);
   return metrics::ProbeEfficiency(model, sample).flops;
+}
+
+struct ProtoAttnCost {
+  double flops = 0;
+  double median_ns = 0;
+};
+
+// One inference ProtoAttn::Forward at L = 512, N = 8 (8 x 32 tokens of
+// p = 16, d = 32) with k prototypes: its FLOPs and the median wall time
+// of 41 timed calls after one untimed call.
+ProtoAttnCost ProtoAttnCostAt(int64_t k) {
+  const int64_t length = 512, entities = 8, p = 16, d = 32;
+  Rng rng(3);
+  auto embed = std::make_shared<nn::Linear>(p, d, rng);
+  core::ProtoAttn attn(Tensor::Randn({k, p}, rng), embed, d, 0.2f, rng);
+  const Tensor raw = Tensor::Randn({entities, length / p, p}, rng);
+  InferenceModeGuard inference;
+  const Tensor emb = embed->Forward(raw);
+  ProtoAttnCost cost;
+  FlopCounter::Reset();
+  attn.Forward(raw, emb);
+  cost.flops = static_cast<double>(FlopCounter::Count());
+  std::vector<double> ns;
+  for (int rep = 0; rep < 41; ++rep) {
+    Stopwatch timer;
+    const Tensor out = attn.Forward(raw, emb);
+    ns.push_back(timer.ElapsedSeconds() * 1e9);
+  }
+  std::nth_element(ns.begin(), ns.begin() + ns.size() / 2, ns.end());
+  cost.median_ns = ns[ns.size() / 2];
+  return cost;
 }
 
 }  // namespace
@@ -91,6 +130,24 @@ int main() {
     std::printf("log-log slope in N:  FOCUS %.2f (linear target 1.0), "
                 "FOCUS-Attn %.2f (super-linear)\n",
                 LogLogSlope(ns, focus_f), LogLogSlope(ns, attn_f));
+  }
+
+  {
+    std::printf("\n");
+    Table t({"k", "ProtoAttn FLOPs(M)", "median ns/Forward"});
+    std::vector<double> ks, flops, times;
+    for (int64_t k : {8, 16, 32, 64}) {
+      const ProtoAttnCost cost = ProtoAttnCostAt(k);
+      ks.push_back(static_cast<double>(k));
+      flops.push_back(cost.flops);
+      times.push_back(cost.median_ns);
+      t.AddRow({std::to_string(k), Table::Num(cost.flops / 1e6, 2),
+                Table::Num(cost.median_ns, 0)});
+    }
+    std::printf("%s", t.ToAscii().c_str());
+    std::printf("log-log slope in k (L=512, N=8): ProtoAttn FLOPs %.2f, "
+                "time %.2f (linear in k: at most 1.0)\n",
+                LogLogSlope(ks, flops), LogLogSlope(ks, times));
   }
   return 0;
 }

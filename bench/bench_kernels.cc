@@ -12,6 +12,7 @@
 // min-time — the perf leg of scripts/check.sh uses it to gate regressions
 // against results/BENCH_smoke_baseline.json.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -378,6 +379,8 @@ BENCHMARK(BM_FocusForecastPlanned)->Arg(96)->Arg(512)
 // benchmark's display time unit.
 class SchemaCaptureReporter : public benchmark::ConsoleReporter {
  public:
+  using ConsoleReporter::ConsoleReporter;
+
   void ReportRuns(const std::vector<Run>& reports) override {
     for (const Run& run : reports) {
       if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
@@ -416,8 +419,11 @@ int main(int argc, char** argv) {
   bool smoke = false;
   std::vector<char*> args;
   const std::string kJsonFlag = "--focus-bench-json=";
+  const std::string kColorFlag = "--benchmark_color=";
+  std::string color = "auto";
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (arg.rfind(kColorFlag, 0) == 0) color = arg.substr(kColorFlag.size());
     if (arg == "--smoke") {
       smoke = true;
       continue;
@@ -449,7 +455,16 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
     return 1;
   }
-  focus::SchemaCaptureReporter reporter;
+  // A reporter handed to RunSpecifiedBenchmarks keeps the options it was
+  // built with, so --benchmark_color is resolved here as the library's
+  // own console reporter resolves it: "auto" colours a terminal only.
+  const bool use_color = color == "auto"
+                             ? isatty(STDOUT_FILENO) != 0
+                             : color == "true" || color == "yes" ||
+                                   color == "1";
+  focus::SchemaCaptureReporter reporter(
+      use_color ? benchmark::ConsoleReporter::OO_ColorTabular
+                : benchmark::ConsoleReporter::OO_Tabular);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   if (!json_path.empty()) {
     focus::obs::BenchReport report = focus::obs::MakeBenchReport(

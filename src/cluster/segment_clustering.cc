@@ -48,21 +48,16 @@ float CompositeDistance(const float* segment, const float* prototype,
   return static_cast<float>(sq) + alpha * (1.0f - corr);
 }
 
-SegmentMoments ZNormalize(const float* src, int64_t p, float* dst) {
+namespace {
+
+SegmentMoments Moments(const float* src, int64_t p) {
   double mean = 0;
   for (int64_t j = 0; j < p; ++j) mean += src[j];
   mean /= p;
   double var = 0;
   for (int64_t j = 0; j < p; ++j) var += (src[j] - mean) * (src[j] - mean);
-  const SegmentMoments moments{mean, std::sqrt(var / p)};
-  const float inv_std = 1.0f / (static_cast<float>(moments.std) + 1e-4f);
-  for (int64_t j = 0; j < p; ++j) {
-    dst[j] = (src[j] - static_cast<float>(mean)) * inv_std;
-  }
-  return moments;
+  return {mean, std::sqrt(var / p)};
 }
-
-namespace {
 
 // Writes row - mean(row) to `out` and returns the mean. The mean stays in
 // double so the p (m_t - m_c)^2 term of Eq. 6 keeps its precision on
@@ -79,12 +74,22 @@ double Center(const float* row, int64_t p, float* out) {
 
 }  // namespace
 
+SegmentMoments ZNormalize(const float* src, int64_t p, float* dst) {
+  const SegmentMoments moments = Moments(src, p);
+  const float mean = static_cast<float>(moments.mean);
+  const float inv_std = 1.0f / (static_cast<float>(moments.std) + 1e-4f);
+  for (int64_t j = 0; j < p; ++j) dst[j] = (src[j] - mean) * inv_std;
+  return moments;
+}
+
 PrototypeBank::PrototypeBank(const float* rows, int64_t k, int64_t p)
     : k(k),
       p(p),
       centered(static_cast<size_t>(k * p)),
       mean(static_cast<size_t>(k)),
       var(static_cast<size_t>(k)) {
+  FOCUS_CHECK_LE(p, simd::kMaxSegmentLength)
+      << "segment length exceeds the nearest-prototype kernel's limit";
   const auto dot = simd::Kernels().dot;
   for (int64_t j = 0; j < k; ++j) {
     float* c = centered.data() + j * p;
@@ -94,39 +99,10 @@ PrototypeBank::PrototypeBank(const float* rows, int64_t k, int64_t p)
 }
 
 void NearestPrototypes(const float* rows, int64_t n,
-                       const PrototypeBank& bank, float alpha, int64_t* idx,
-                       float* dist) {
-  const int64_t k = bank.k, p = bank.p;
-  const auto dot = simd::Kernels().dot;
-  std::vector<float> t(static_cast<size_t>(p));
-  for (int64_t i = 0; i < n; ++i) {
-    const double m_t = Center(rows + i * p, p, t.data());
-    const float var_t = dot(t.data(), t.data(), p);
-    float best = std::numeric_limits<float>::max();
-    int64_t best_j = 0;
-    for (int64_t j = 0; j < k; ++j) {
-      const size_t sj = static_cast<size_t>(j);
-      const float var_c = bank.var[sj];
-      const float x = dot(t.data(), bank.centered.data() + j * p, p);
-      const double dm = m_t - bank.mean[sj];
-      // Rounding can take the centered squared distance just below 0.
-      float d = std::max(var_t + var_c - 2.0f * x, 0.0f) +
-                static_cast<float>(static_cast<double>(p) * dm * dm);
-      if (alpha != 0.0f) {
-        float corr = 0.0f;
-        if (var_t >= 1e-12f && var_c >= 1e-12f) {
-          corr = x / std::sqrt(var_t * var_c);
-        }
-        d += alpha * (1.0f - corr);
-      }
-      if (d < best) {
-        best = d;
-        best_j = j;
-      }
-    }
-    if (idx != nullptr) idx[i] = best_j;
-    if (dist != nullptr) dist[i] = best;
-  }
+                       const PrototypeBank& bank, float alpha,
+                       simd::RowPrep prep, int64_t* idx, float* dist) {
+  simd::Kernels().nearest_prototypes(rows, n, bank.View(), alpha, prep, idx,
+                                     dist);
 }
 
 Tensor ExtractSegments(const Tensor& values, int64_t p, bool normalize) {
@@ -176,7 +152,8 @@ std::vector<int64_t> SegmentClustering::Assign(const Tensor& segments,
   const int64_t grain = std::max<int64_t>(1, 2048 / std::max<int64_t>(1, k));
   ParallelFor(0, n, grain, [&](int64_t i0, int64_t i1) {
     NearestPrototypes(segments.data() + i0 * p, i1 - i0, bank, alpha,
-                      assignments.data() + i0, nullptr);
+                      simd::RowPrep::kNone, assignments.data() + i0,
+                      nullptr);
   });
   return assignments;
 }
@@ -204,7 +181,7 @@ Tensor SegmentClustering::InitPrototypes(const Tensor& segments,
     // seeding is identical for any FOCUS_NUM_THREADS.
     ParallelFor(0, n, 512, [&](int64_t i0, int64_t i1) {
       NearestPrototypes(segments.data() + i0 * p, i1 - i0, last, alpha,
-                        nullptr, dist.data() + i0);
+                        simd::RowPrep::kNone, nullptr, dist.data() + i0);
       for (int64_t i = i0; i < i1; ++i) {
         const size_t si = static_cast<size_t>(i);
         min_dist[si] = std::min(min_dist[si], static_cast<double>(dist[si]));
@@ -457,15 +434,15 @@ Tensor ApproximateSeries(const Tensor& series, const Tensor& prototypes,
   FOCUS_CHECK_GT(segments, 0);
   Tensor out = Tensor::Zeros({segments * p});
   const PrototypeBank bank(prototypes.data(), prototypes.size(0), p);
-  std::vector<float> shape(static_cast<size_t>(p));
+  // Assign in shape space, keeping the raw segment's local statistics
+  // (paper: "each prototype adjusted to maintain the original mean and
+  // standard deviation").
+  std::vector<int64_t> assignments(static_cast<size_t>(segments));
+  NearestPrototypes(series.data(), segments, bank, alpha,
+                    simd::RowPrep::kZNormalize, assignments.data(), nullptr);
   for (int64_t i = 0; i < segments; ++i) {
-    // Assign in shape space, keeping the raw segment's local statistics
-    // (paper: "each prototype adjusted to maintain the original mean and
-    // standard deviation").
-    const SegmentMoments local =
-        ZNormalize(series.data() + i * p, p, shape.data());
-    int64_t best_j = 0;
-    NearestPrototypes(shape.data(), 1, bank, alpha, &best_j, nullptr);
+    const SegmentMoments local = Moments(series.data() + i * p, p);
+    const int64_t best_j = assignments[static_cast<size_t>(i)];
     // Rescale the prototype back to the local mean/std.
     const float* proto = prototypes.data() + best_j * p;
     double pm = 0;

@@ -14,16 +14,18 @@
 // the paper's Fig. 11 re-scales prototypes by local mean/std, implying
 // shape-space prototypes (see DESIGN.md Sec. 3).
 //
-// Eq. 6 has one implementation, NearestPrototypes over a PrototypeBank. It
-// serves the clustering's assignment sweeps and k-means++ seeding, the
-// Fig. 11 approximation, and ProtoAttn's online token assignment
-// (Algorithm 2), so Algorithms 1 and 2 share one distance.
+// Eq. 6 has one implementation, NearestPrototypes over a PrototypeBank,
+// which runs the SIMD layer's nearest_prototypes kernel. It serves the
+// clustering's assignment sweeps and k-means++ seeding, the Fig. 11
+// approximation, and ProtoAttn's online token assignment (Algorithm 2), so
+// Algorithms 1 and 2 share one distance.
 #ifndef FOCUS_CLUSTER_SEGMENT_CLUSTERING_H_
 #define FOCUS_CLUSTER_SEGMENT_CLUSTERING_H_
 
 #include <string>
 #include <vector>
 
+#include "tensor/simd/vec.h"
 #include "tensor/tensor.h"
 #include "utils/rng.h"
 #include "utils/status.h"
@@ -70,8 +72,13 @@ SegmentMoments ZNormalize(const float* src, int64_t p, float* dst);
 
 // Eq. 6 statistics of a prototype bank, computed once per bank: the
 // centered rows c - mean(c), each row's mean and var = sum (c - mean)^2.
+// p is at most simd::kMaxSegmentLength.
 struct PrototypeBank {
   PrototypeBank(const float* rows, int64_t k, int64_t p);
+
+  simd::ProtoBankView View() const {
+    return {centered.data(), mean.data(), var.data(), k, p};
+  }
 
   int64_t k = 0, p = 0;
   std::vector<float> centered;  // (k, p)
@@ -79,17 +86,21 @@ struct PrototypeBank {
   std::vector<float> var;       // (k)
 };
 
-// Nearest prototype under Eq. 6 for each of the `n` length-p `rows`. Each
-// row is centered once; every (row, prototype) pair then costs one
-// simd::Kernels().dot of the centered vectors, x = t~ . c~, and
+// Nearest prototype under Eq. 6 for each of the `n` length-p `rows`, after
+// preparing each row per `prep` (simd::RowPrep: as given, z-normalized, or
+// z-normalized and rounded to int8). Each row is centered, t~ = t - m_t,
+// and against every prototype
 //   dist = var_t + var_c - 2x + p (m_t - m_c)^2 + alpha (1 - corr),
-//   corr = x / sqrt(var_t var_c)   (0 when either row is constant).
+//   x = t~ . c~,  corr = x / sqrt(var_t var_c)   (0 when either row is
+//   constant).
 // The centered form stays accurate on segments far from zero mean. Ties go
 // to the lower index. Writes the index to `idx[i]` and the distance to
-// `dist[i]`; either pointer may be null. Serial; callers shard rows.
+// `dist[i]`; either pointer may be null. Rows run 8 to a SIMD pass
+// (simd::KernelTable::nearest_prototypes) and allocate nothing; a row's
+// result depends only on the row, so callers may shard rows freely.
 void NearestPrototypes(const float* rows, int64_t n,
-                       const PrototypeBank& bank, float alpha, int64_t* idx,
-                       float* dist);
+                       const PrototypeBank& bank, float alpha,
+                       simd::RowPrep prep, int64_t* idx, float* dist);
 
 // Cuts (N, T) values into non-overlapping length-p segments, row-major by
 // entity then time: segment index = e * (T/p) + i. Remainder steps beyond

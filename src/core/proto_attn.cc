@@ -17,43 +17,16 @@ namespace core {
 
 namespace {
 
-// One assignment sweep serves eager forwards and plan replay in both
-// precisions: z-normalize each raw segment into the offline clustering's
-// shape space and take its nearest prototype in `bank` under Eq. 6. With
-// `int8` set, each normalized token is first rounded to its symmetric int8
-// grid (tscale = max|t|/127, zero point 0), and `bank` is the dequantized
-// int8 bank. Serial over rows, in blocks that bound the scratch buffer;
-// AssignTokens and Forward's assignment step both call exactly this
-// function.
-void AssignRows(const float* raw, int64_t rows,
-                const cluster::PrototypeBank& bank, float alpha, bool int8,
-                int64_t* out_idx) {
-  constexpr int64_t kBlock = 64;
-  const int64_t p = bank.p;
-  std::vector<float> shape(static_cast<size_t>(kBlock * p));
-  for (int64_t r0 = 0; r0 < rows; r0 += kBlock) {
-    const int64_t nb = std::min(kBlock, rows - r0);
-    for (int64_t r = 0; r < nb; ++r) {
-      float* t = shape.data() + r * p;
-      cluster::ZNormalize(raw + (r0 + r) * p, p, t);
-      if (!int8) continue;
-      float amax = 0.0f;
-      for (int64_t d = 0; d < p; ++d) amax = std::max(amax, std::fabs(t[d]));
-      const float tscale = amax > 0.0f ? amax / 127.0f : 1.0f;
-      for (int64_t d = 0; d < p; ++d) {
-        t[d] = tscale * static_cast<float>(std::lrintf(t[d] / tscale));
-      }
-    }
-    cluster::NearestPrototypes(shape.data(), nb, bank, alpha, out_idx + r0,
-                               nullptr);
-  }
-}
-
-// Tokens and bank are rounded to int8 only in int8proto inference; a
-// training forward always assigns in f32.
-bool Int8Assign() {
-  return !GradMode::IsEnabled() &&
-         PrecisionMode::Get() == Precision::kInt8Proto;
+// Tokens are z-normalized into the offline clustering's shape space
+// before their Eq. 6 search. In int8proto inference each normalized token
+// is also rounded to its symmetric int8 grid (tscale = max|t|/127, zero
+// point 0) and searched against the dequantized int8 bank; a training
+// forward always assigns in f32. AssignTokens and Forward's assignment
+// step both make exactly this choice.
+simd::RowPrep TokenPrep() {
+  const bool int8 = !GradMode::IsEnabled() &&
+                    PrecisionMode::Get() == Precision::kInt8Proto;
+  return int8 ? simd::RowPrep::kZNormalizeInt8 : simd::RowPrep::kZNormalize;
 }
 
 }  // namespace
@@ -95,9 +68,11 @@ std::vector<int64_t> ProtoAttn::AssignTokens(const Tensor& tokens_raw) const {
   const int64_t rows = tokens_raw.size(0) * tokens_raw.size(1);
   const int64_t k = prototypes_.size(0);
   std::vector<int64_t> assignments(static_cast<size_t>(rows));
-  const bool int8 = Int8Assign();
-  AssignRows(tokens_raw.data(), rows, int8 ? *int8_bank_ : *bank_, alpha_,
-             int8, assignments.data());
+  const simd::RowPrep prep = TokenPrep();
+  cluster::NearestPrototypes(
+      tokens_raw.data(), rows,
+      prep == simd::RowPrep::kZNormalizeInt8 ? *int8_bank_ : *bank_, alpha_,
+      prep, assignments.data(), nullptr);
   // Assignment cost (counted so the FLOPs metric reflects Algorithm 2's
   // O(l * k * p) step).
   FlopCounter::Add(3 * rows * k * p);
@@ -123,18 +98,23 @@ Tensor ProtoAttn::Forward(const Tensor& tokens_raw, const Tensor& tokens_emb) {
   // captured in inference mode and Plan::Matches() pins the ambient
   // PrecisionMode, so a plan never replays the wrong variant.
   const int64_t rows = b * l;
-  const bool int8 = Int8Assign();
+  const simd::RowPrep prep = TokenPrep();
   Tensor a = Tensor::Empty({b, l, k});
   plan_hooks::RunStep(
       "ProtoAssign", {tokens_raw}, a,
-      [bank = int8 ? int8_bank_ : bank_, alpha = alpha_, int8, rows,
-       k](float* const* bufs) {
+      [bank = prep == simd::RowPrep::kZNormalizeInt8 ? int8_bank_ : bank_,
+       alpha = alpha_, prep, rows, k, p](float* const* bufs) {
         float* pa = bufs[1];
         std::fill_n(pa, rows * k, 0.0f);
-        std::vector<int64_t> idx(static_cast<size_t>(rows));
-        AssignRows(bufs[0], rows, *bank, alpha, int8, idx.data());
-        for (int64_t r = 0; r < rows; ++r) {
-          pa[r * k + idx[static_cast<size_t>(r)]] = 1.0f;
+        // The indices of one block of rows live on the stack, so a replay
+        // allocates nothing; a row's index does not depend on its block.
+        constexpr int64_t kBlock = 64;
+        int64_t idx[kBlock];
+        for (int64_t r0 = 0; r0 < rows; r0 += kBlock) {
+          const int64_t nb = std::min(kBlock, rows - r0);
+          cluster::NearestPrototypes(bufs[0] + r0 * p, nb, *bank, alpha, prep,
+                                     idx, nullptr);
+          for (int64_t r = 0; r < nb; ++r) pa[(r0 + r) * k + idx[r]] = 1.0f;
         }
       });
   FlopCounter::Add(3 * rows * k * p);

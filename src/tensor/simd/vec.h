@@ -44,6 +44,26 @@ inline constexpr int kLanes = 8;
 
 enum class Backend { kScalar, kAvx2 };
 
+// Longest row the nearest-prototype kernel takes: it holds one block of
+// 8 rows on the stack (16 KB at this length).
+inline constexpr int64_t kMaxSegmentLength = 512;
+
+// How the nearest-prototype kernel prepares each row before its search.
+enum class RowPrep {
+  kNone,            // search the rows as given
+  kZNormalize,      // z-normalize first (ProtoAttn tokens, Fig. 11)
+  kZNormalizeInt8,  // z-normalize, then round to a symmetric int8 grid
+};
+
+// A prototype bank's Eq. 6 statistics (cluster::PrototypeBank owns them).
+struct ProtoBankView {
+  const float* centered;  // (k, p) rows c - mean(c)
+  const double* mean;     // (k)
+  const float* var;       // (k) sum (c - mean(c))^2
+  int64_t k;
+  int64_t p;              // at most kMaxSegmentLength
+};
+
 // A resolved set of kernel entry points. All pointers are non-null in
 // every table. Buffers may be unaligned (kernels use unaligned loads);
 // `n` counts are in floats and may be 0. Binary/unary kernels allow
@@ -110,6 +130,19 @@ struct KernelTable {
                                 const float* gamma, const float* means,
                                 const float* rstds, float* gx,
                                 int64_t rows, int64_t n);
+
+  // Eq. 6 nearest prototype of each of `n` length-p rows (the Algorithm 1
+  // assignment and Algorithm 2's token assignment). Each row is prepared
+  // per `prep`, centered with a double mean m_t, and searched:
+  //   x = dot(t~, c~) and var_t = dot(t~, t~), each summed like `dot`,
+  //   dist = max(var_t + var_c - 2x, 0) + float(p (m_t - m_c)^2)
+  //          + alpha (1 - x / sqrt(var_t var_c)),
+  // with the correlation 0 when var_t or var_c is below 1e-12. The first
+  // minimum wins. Writes idx[i] and dist[i]; either may be null. Rows run
+  // 8 to a pass, one per lane, and a row's bits depend only on the row.
+  void (*nearest_prototypes)(const float* rows, int64_t n,
+                             const ProtoBankView& bank, float alpha,
+                             RowPrep prep, int64_t* idx, float* dist);
 };
 
 // The active kernel table. First call resolves the backend (cheap

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "tensor/simd/vec.h"
 #include "tensor/simd/vec_common.h"

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 #include "tensor/simd/vec.h"
 #include "tensor/simd/vec_common.h"

@@ -6,17 +6,23 @@
 //      tails (n = 1..17 crosses every lane-remainder case twice) and a
 //      large buffer. This is what makes FOCUS_SIMD a pure acceleration
 //      knob rather than a numerics knob. The matmul micro-kernel is also
-//      checked per backend against its naive FMA-chain reference.
+//      checked per backend against its naive FMA-chain reference, and the
+//      Eq. 6 nearest-prototype search against the pair-at-a-time loop it
+//      replaced (indices and distances), with no heap allocation.
 //   2. Accuracy: the shared polynomial transcendentals stay within 4 ULP
 //      of double-precision libm rounded to float across their full
 //      argument ranges (exp over [-88, 88], tanh/erf over [-10, 10]).
 //   3. Dispatch: FOCUS_SIMD=scalar|avx2|auto resolves to the documented
 //      backend on this machine.
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -438,6 +444,261 @@ TEST(SimdAccuracyTest, ExtremeArguments) {
   EXPECT_EQ(-1.0f, y[0]);
   EXPECT_EQ(1.0f, y[2]);
   EXPECT_EQ(0.0f, y[4]);
+}
+
+// --- Eq. 6 nearest prototype --------------------------------------------
+
+// The pair-at-a-time search the nearest_prototypes kernel replaced, kept
+// here as its reference: per row, ZNormalize, the int8 rounding, Center,
+// then one `dot` per (row, prototype) pair and a scalar epilogue.
+struct RefBank {
+  std::vector<float> centered;
+  std::vector<double> mean;
+  std::vector<float> var;
+  int64_t k, p;
+  simd::ProtoBankView View() const {
+    return {centered.data(), mean.data(), var.data(), k, p};
+  }
+};
+
+double RefCenter(const float* row, int64_t p, float* out) {
+  double mean = 0;
+  for (int64_t d = 0; d < p; ++d) mean += row[d];
+  mean /= p;
+  for (int64_t d = 0; d < p; ++d) out[d] = static_cast<float>(row[d] - mean);
+  return mean;
+}
+
+RefBank MakeRefBank(const std::vector<float>& rows, int64_t k, int64_t p) {
+  RefBank bank{std::vector<float>(static_cast<size_t>(k * p)),
+               std::vector<double>(static_cast<size_t>(k)),
+               std::vector<float>(static_cast<size_t>(k)), k, p};
+  for (int64_t j = 0; j < k; ++j) {
+    float* c = bank.centered.data() + j * p;
+    bank.mean[static_cast<size_t>(j)] = RefCenter(rows.data() + j * p, p, c);
+    bank.var[static_cast<size_t>(j)] = simd::Kernels().dot(c, c, p);
+  }
+  return bank;
+}
+
+void RefNearestPrototypes(const float* rows, int64_t n, const RefBank& bank,
+                          float alpha, simd::RowPrep prep, int64_t* idx,
+                          float* dist) {
+  const int64_t k = bank.k, p = bank.p;
+  const auto dot = simd::Kernels().dot;
+  std::vector<float> z(static_cast<size_t>(p)), t(static_cast<size_t>(p));
+  for (int64_t i = 0; i < n; ++i) {
+    std::memcpy(z.data(), rows + i * p, static_cast<size_t>(p) * sizeof(float));
+    if (prep != simd::RowPrep::kNone) {
+      double mean = 0;
+      for (int64_t d = 0; d < p; ++d) mean += z[d];
+      mean /= p;
+      double var = 0;
+      for (int64_t d = 0; d < p; ++d) var += (z[d] - mean) * (z[d] - mean);
+      const float inv_std =
+          1.0f / (static_cast<float>(std::sqrt(var / p)) + 1e-4f);
+      for (int64_t d = 0; d < p; ++d) {
+        z[d] = (z[d] - static_cast<float>(mean)) * inv_std;
+      }
+    }
+    if (prep == simd::RowPrep::kZNormalizeInt8) {
+      float amax = 0.0f;
+      for (int64_t d = 0; d < p; ++d) amax = std::max(amax, std::fabs(z[d]));
+      const float tscale = amax > 0.0f ? amax / 127.0f : 1.0f;
+      for (int64_t d = 0; d < p; ++d) {
+        z[d] = tscale * static_cast<float>(std::lrintf(z[d] / tscale));
+      }
+    }
+    const double m_t = RefCenter(z.data(), p, t.data());
+    const float var_t = dot(t.data(), t.data(), p);
+    float best = std::numeric_limits<float>::max();
+    int64_t best_j = 0;
+    for (int64_t j = 0; j < k; ++j) {
+      const size_t sj = static_cast<size_t>(j);
+      const float var_c = bank.var[sj];
+      const float x = dot(t.data(), bank.centered.data() + j * p, p);
+      const double dm = m_t - bank.mean[sj];
+      float d = std::max(var_t + var_c - 2.0f * x, 0.0f) +
+                static_cast<float>(static_cast<double>(p) * dm * dm);
+      if (alpha != 0.0f) {
+        float corr = 0.0f;
+        if (var_t >= 1e-12f && var_c >= 1e-12f) {
+          corr = x / std::sqrt(var_t * var_c);
+        }
+        d += alpha * (1.0f - corr);
+      }
+      if (d < best) {
+        best = d;
+        best_j = j;
+      }
+    }
+    idx[i] = best_j;
+    dist[i] = best;
+  }
+}
+
+// A bank with a duplicated row (ties go to the lower index) and, from
+// k = 3, a constant row (its correlation term is 0).
+std::vector<float> TestPrototypes(int64_t k, int64_t p, uint32_t seed) {
+  std::vector<float> protos = TestVec(k * p, seed, -2.0f, 2.0f);
+  if (k >= 2) {
+    std::copy_n(protos.begin(), p, protos.begin() + (k - 1) * p);
+  }
+  if (k >= 3) std::fill_n(protos.begin() + p, p, 0.75f);
+  return protos;
+}
+
+// Rows cycling through five kinds: random, far from zero mean, constant,
+// equal to a prototype, and an affine copy of a prototype.
+std::vector<float> TestRows(int64_t n, int64_t p,
+                            const std::vector<float>& protos, int64_t k,
+                            uint32_t seed) {
+  std::vector<float> rows = TestVec(n * p, seed);
+  for (int64_t i = 0; i < n; ++i) {
+    float* row = rows.data() + i * p;
+    const float* proto = protos.data() + (i % k) * p;
+    switch (i % 5) {
+      case 1:
+        for (int64_t d = 0; d < p; ++d) row[d] += 1000.0f;
+        break;
+      case 2:
+        std::fill_n(row, p, -3.25f);
+        break;
+      case 3:
+        std::copy_n(proto, p, row);
+        break;
+      case 4:
+        for (int64_t d = 0; d < p; ++d) row[d] = 2.5f * proto[d] - 40.0f;
+        break;
+      default:
+        break;
+    }
+  }
+  return rows;
+}
+
+const simd::RowPrep kPreps[] = {simd::RowPrep::kNone,
+                                simd::RowPrep::kZNormalize,
+                                simd::RowPrep::kZNormalizeInt8};
+
+// Runs the kernel of `backend` and the reference on one case and expects
+// byte-identical indices and distances.
+void ExpectNearestMatchesReference(simd::Backend backend, int64_t n,
+                                   int64_t k, int64_t p, float alpha,
+                                   simd::RowPrep prep) {
+  const std::vector<float> protos =
+      TestPrototypes(k, p, static_cast<uint32_t>(k * 131 + p));
+  const std::vector<float> rows =
+      TestRows(n, p, protos, k, static_cast<uint32_t>(n * 7 + p));
+  ASSERT_TRUE(simd::SetBackend(simd::Backend::kScalar));
+  const RefBank bank = MakeRefBank(protos, k, p);
+  std::vector<int64_t> ref_idx(static_cast<size_t>(n), -1);
+  std::vector<float> ref_dist(static_cast<size_t>(n), -1.0f);
+  RefNearestPrototypes(rows.data(), n, bank, alpha, prep, ref_idx.data(),
+                       ref_dist.data());
+  ASSERT_TRUE(simd::SetBackend(backend));
+  std::vector<int64_t> idx(static_cast<size_t>(n), -1);
+  std::vector<float> dist(static_cast<size_t>(n), -1.0f);
+  simd::Kernels().nearest_prototypes(rows.data(), n, bank.View(), alpha, prep,
+                                     idx.data(), dist.data());
+  const std::string what = std::string(simd::BackendName()) +
+                           " n=" + std::to_string(n) +
+                           " k=" + std::to_string(k) +
+                           " p=" + std::to_string(p) +
+                           " alpha=" + std::to_string(alpha) +
+                           " prep=" + std::to_string(static_cast<int>(prep));
+  ASSERT_EQ(0, std::memcmp(idx.data(), ref_idx.data(),
+                           idx.size() * sizeof(int64_t)))
+      << what << ": indices differ from the pair-at-a-time search";
+  ASSERT_EQ(0, std::memcmp(dist.data(), ref_dist.data(),
+                           dist.size() * sizeof(float)))
+      << what << ": distances differ from the pair-at-a-time search";
+}
+
+// Every case on one backend: n in {1, 7, 8, 9} crosses the 8-row block
+// edge for k in {1..17, 33} and p in {2..33}; n = 513 (64 full blocks and
+// a ragged one) runs on a coarser k x p grid.
+void ExpectNearestMatchesReferenceEverywhere(simd::Backend backend) {
+  std::vector<int64_t> ks;
+  for (int64_t k = 1; k <= 17; ++k) ks.push_back(k);
+  ks.push_back(33);
+  for (float alpha : {0.0f, 0.2f}) {
+    for (simd::RowPrep prep : kPreps) {
+      for (int64_t k : ks) {
+        for (int64_t p = 2; p <= 33; ++p) {
+          for (int64_t n : {1, 7, 8, 9}) {
+            ExpectNearestMatchesReference(backend, n, k, p, alpha, prep);
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+        }
+      }
+      for (int64_t k : {1, 2, 8, 16, 17, 33}) {
+        for (int64_t p : {2, 7, 8, 9, 16, 24, 33}) {
+          ExpectNearestMatchesReference(backend, 513, k, p, alpha, prep);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdNearestPrototypesTest, ScalarMatchesPairAtATimeSearch) {
+  ExpectNearestMatchesReferenceEverywhere(simd::Backend::kScalar);
+  simd::ReinitFromEnv();
+}
+
+TEST_F(SimdBitIdentityTest, NearestPrototypesMatchesPairAtATimeSearch) {
+  ExpectNearestMatchesReferenceEverywhere(simd::Backend::kAvx2);
+}
+
+// Global operator new / delete that count allocations while armed.
+std::atomic<int64_t> g_news{0};
+std::atomic<bool> g_count_news{false};
+
+}  // namespace
+}  // namespace focus
+
+// noinline: inlined into this file's callers, GCC would pair the new
+// expression with free() and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (focus::g_count_news.load(std::memory_order_relaxed)) {
+    focus::g_news.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* ptr = std::malloc(size == 0 ? 1 : size)) return ptr;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* ptr) noexcept { std::free(ptr); }
+[[gnu::noinline]] void operator delete(void* ptr, std::size_t) noexcept {
+  std::free(ptr);
+}
+
+namespace focus {
+namespace {
+
+// The search keeps its block on the stack: 100 calls allocate nothing,
+// on either backend and in every row preparation.
+TEST(SimdNearestPrototypesTest, AllocatesNothing) {
+  const int64_t n = 513, k = 16, p = 16;
+  const std::vector<float> protos = TestPrototypes(k, p, 5);
+  const std::vector<float> rows = TestRows(n, p, protos, k, 6);
+  const RefBank bank = MakeRefBank(protos, k, p);
+  std::vector<int64_t> idx(static_cast<size_t>(n));
+  std::vector<float> dist(static_cast<size_t>(n));
+  std::vector<simd::Backend> backends = {simd::Backend::kScalar};
+  if (simd::Avx2Available()) backends.push_back(simd::Backend::kAvx2);
+  for (simd::Backend backend : backends) {
+    ASSERT_TRUE(simd::SetBackend(backend));
+    const simd::KernelTable& kt = simd::Kernels();
+    g_news.store(0);
+    g_count_news.store(true);
+    for (int call = 0; call < 100; ++call) {
+      kt.nearest_prototypes(rows.data(), n, bank.View(), 0.2f,
+                            kPreps[call % 3], idx.data(), dist.data());
+    }
+    g_count_news.store(false);
+    EXPECT_EQ(0, g_news.load()) << kt.name;
+  }
+  simd::ReinitFromEnv();
 }
 
 // --- dispatch ---------------------------------------------------------------
