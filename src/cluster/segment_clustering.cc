@@ -149,8 +149,7 @@ std::vector<int64_t> SegmentClustering::Assign(const Tensor& segments,
   // Each segment's nearest-prototype search is independent; shards write
   // disjoint assignment slices, so the result is identical for any
   // FOCUS_NUM_THREADS.
-  const int64_t grain = std::max<int64_t>(1, 2048 / std::max<int64_t>(1, k));
-  ParallelFor(0, n, grain, [&](int64_t i0, int64_t i1) {
+  ParallelFor(0, n, k * p, [&](int64_t i0, int64_t i1) {
     NearestPrototypes(segments.data() + i0 * p, i1 - i0, bank, alpha,
                       simd::RowPrep::kNone, assignments.data() + i0,
                       nullptr);
@@ -179,7 +178,7 @@ Tensor SegmentClustering::InitPrototypes(const Tensor& segments,
     // Distance updates are per-segment independent; the probability mass
     // `total` is summed serially afterwards in index order so the sampled
     // seeding is identical for any FOCUS_NUM_THREADS.
-    ParallelFor(0, n, 512, [&](int64_t i0, int64_t i1) {
+    ParallelFor(0, n, p, [&](int64_t i0, int64_t i1) {
       NearestPrototypes(segments.data() + i0 * p, i1 - i0, last, alpha,
                         simd::RowPrep::kNone, nullptr, dist.data() + i0);
       for (int64_t i = i0; i < i1; ++i) {

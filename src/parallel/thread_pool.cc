@@ -1,17 +1,25 @@
 #include "parallel/thread_pool.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "utils/env.h"
 
 namespace focus {
 
+// Least work (range * work_per_index) worth a second shard: below it a
+// wake-up and join cost more than they save. On a 4-vCPU Xeon (EXPERIMENTS.md,
+// "Kernel pool split rule") BM_FocusForecastEager/96 took 109 us at 1
+// thread and, at 4, 167 us at 65536 and 126 at 262144; 1048576 cut
+// serve_long's 2-thread training from 138 to 124 steps/s.
+const int64_t kMinShardWork = 262144;
+
 namespace {
 
 // Set for the lifetime of a worker thread and, on the calling thread, for
-// the duration of its participation in a region (including the serial
-// fallback), so nested ParallelFor calls degrade to inline execution
-// instead of deadlocking on the dispatch state.
+// the duration of its participation in a region (including the inline
+// call), so nested ParallelFor calls degrade to inline execution instead
+// of deadlocking on the dispatch state.
 thread_local bool tl_in_parallel_region = false;
 
 struct RegionGuard {
@@ -71,11 +79,11 @@ void ThreadPool::StopWorkers() {
   // Freshly started workers begin with seen_generation = 0. Reset the
   // dispatch state so they do not mistake a stale generation_ from before
   // the stop for a newly published region (a phantom pass could otherwise
-  // race with the next RunShards and double-decrement active_workers_).
+  // race with the next region and double-decrement active_workers_).
   generation_ = 0;
   nshards_ = 0;
   next_shard_.store(0, std::memory_order_relaxed);
-  fn_ = nullptr;
+  body_ = nullptr;
   active_workers_ = 0;
 }
 
@@ -90,9 +98,11 @@ void ThreadPool::WorkOnCurrentRegion() {
   RegionGuard in_region;
   try {
     for (;;) {
-      const int shard = next_shard_.fetch_add(1, std::memory_order_relaxed);
-      if (shard >= nshards_) break;
-      (*fn_)(shard);
+      const int s = next_shard_.fetch_add(1, std::memory_order_relaxed);
+      if (s >= nshards_) break;
+      // The first `rem_` shards take one extra index.
+      const int64_t b = begin_ + s * chunk_ + std::min<int64_t>(s, rem_);
+      (*body_)(b, b + chunk_ + (s < rem_ ? 1 : 0));
     }
   } catch (...) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -116,17 +126,15 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::RunShards(int nshards, const std::function<void(int)>& fn) {
-  if (nshards <= 0) return;
-  if (nshards == 1 || workers_.empty() || tl_in_parallel_region) {
-    RegionGuard in_region;
-    for (int s = 0; s < nshards; ++s) fn(s);
-    return;
-  }
+void ThreadPool::RunShards(int nshards, int64_t begin, int64_t range,
+                           const FunctionRef<void(int64_t, int64_t)>& body) {
   std::lock_guard<std::mutex> run_lock(run_mu_);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    fn_ = &fn;
+    body_ = &body;
+    begin_ = begin;
+    chunk_ = range / nshards;
+    rem_ = range % nshards;
     nshards_ = nshards;
     next_shard_.store(0, std::memory_order_relaxed);
     error_ = nullptr;
@@ -137,7 +145,7 @@ void ThreadPool::RunShards(int nshards, const std::function<void(int)>& fn) {
   WorkOnCurrentRegion();
   std::unique_lock<std::mutex> lock(mu_);
   cv_done_.wait(lock, [&] { return active_workers_ == 0; });
-  fn_ = nullptr;
+  body_ = nullptr;
   if (error_) {
     std::exception_ptr error = error_;
     error_ = nullptr;
@@ -146,31 +154,28 @@ void ThreadPool::RunShards(int nshards, const std::function<void(int)>& fn) {
   }
 }
 
-void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                 const std::function<void(int64_t, int64_t)>& body) {
+int NumShards(int64_t range, int64_t work_per_index, int threads) {
+  if (range <= 0) return 0;
+  const int64_t work = std::max<int64_t>(1, work_per_index);
+  int64_t shards = range;  // a product past int64 is over any threshold
+  if (range <= std::numeric_limits<int64_t>::max() / work) {
+    const int64_t total = range * work;
+    shards = total / kMinShardWork + (total % kMinShardWork != 0);
+  }
+  return static_cast<int>(std::min<int64_t>({threads, range, shards}));
+}
+
+void ParallelFor(int64_t begin, int64_t end, int64_t work,
+                 FunctionRef<void(int64_t, int64_t)> body) {
   const int64_t range = end - begin;
   if (range <= 0) return;
-  if (grain < 1) grain = 1;
   ThreadPool& pool = ThreadPool::Global();
-  const int64_t max_shards =
-      std::min<int64_t>(pool.num_threads(), (range + grain - 1) / grain);
-  if (max_shards <= 1 || tl_in_parallel_region) {
-    // Exactly the serial code path: one body call over the full range.
-    RegionGuard in_region;
-    body(begin, end);
-    return;
-  }
-  // Deterministic static split: shard s covers a contiguous slice whose
-  // boundaries depend only on (range, nshards); the first `rem` shards take
-  // one extra element.
-  const int nshards = static_cast<int>(max_shards);
-  const int64_t chunk = range / nshards;
-  const int64_t rem = range % nshards;
-  pool.RunShards(nshards, [&](int s) {
-    const int64_t b = begin + s * chunk + std::min<int64_t>(s, rem);
-    const int64_t e = b + chunk + (s < rem ? 1 : 0);
-    body(b, e);
-  });
+  const int nshards =
+      tl_in_parallel_region ? 1 : NumShards(range, work, pool.num_threads());
+  if (nshards > 1) return pool.RunShards(nshards, begin, range, body);
+  // Exactly the serial code path: one body call over the full range.
+  RegionGuard in_region;
+  body(begin, end);
 }
 
 }  // namespace focus

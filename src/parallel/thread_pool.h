@@ -3,33 +3,27 @@
 //
 // Design goals, in priority order:
 //
-//  1. Determinism. For a given pool size the work split of a ParallelFor is
-//     a pure function of (begin, end, grain): the range is cut into at most
-//     num_threads() contiguous shards of near-equal size. Which OS thread
-//     executes a shard is scheduling-dependent, but shards never share
-//     mutable state in the kernels built on top, and every kernel is
-//     structured so that the floating-point accumulation order *per output
-//     element* does not depend on the shard boundaries at all. Outputs are
-//     therefore bit-identical for every value of FOCUS_NUM_THREADS,
-//     including 1 (see the parity tests in tests/parity_test.cc).
-//  2. Zero cost when unused. `FOCUS_NUM_THREADS=1` (or a single-core
-//     machine) creates no worker threads and ParallelFor invokes the body
-//     once, inline, on the caller's stack — exactly the pre-pool serial
-//     behavior.
-//  3. Reuse. Workers are created once (lazily, on first Global() use) and
-//     parked on a condition variable between parallel regions; a region
-//     dispatch is two lock acquisitions plus one broadcast.
+//  1. Determinism. A ParallelFor's split is a pure function of (begin,
+//     end, work_per_index, pool size). Shards never share mutable state
+//     in the kernels built on top, and no kernel's floating-point order
+//     per output element depends on shard boundaries, so outputs are
+//     bit-identical for every FOCUS_NUM_THREADS (tests/parity_test.cc).
+//  2. One module decides when to split. A call site states only the work
+//     one index carries, from shapes it already has (a matmul task:
+//     rows*k*n multiply-adds; a streamed element: kStreamWork); NumShards
+//     weighs it against the one minimum-work-per-shard constant.
+//  3. Zero cost when unused. One thread, or at most one shard's work, wakes
+//     no worker: the body runs once, inline, over the full range. Bodies
+//     pass as a FunctionRef, so no call allocates.
+//  4. Reuse. Workers are created once (lazily, on first Global() use) and
+//     parked on a condition variable between regions; a dispatch is two
+//     lock acquisitions plus one broadcast.
 //
-// The pool is sized by the FOCUS_NUM_THREADS environment variable read at
-// first use; unset or invalid values fall back to
-// std::thread::hardware_concurrency(). The calling thread always
-// participates in the work, so a pool of size N holds N-1 worker threads.
-//
-// Nested parallelism is defined to serialize: a ParallelFor issued from
-// inside a parallel region runs its body inline on the issuing thread.
-// Exceptions thrown by a body are caught on the executing thread and the
-// first one (in shard-completion order) is rethrown on the calling thread
-// after all shards finish.
+// FOCUS_NUM_THREADS (read at first use; unset or invalid: the hardware
+// concurrency) sizes the pool; the caller always takes part, so a pool of
+// N holds N-1 workers. A ParallelFor nested inside a region runs inline.
+// The first exception a body throws is rethrown on the caller after all
+// shards finish.
 #ifndef FOCUS_PARALLEL_THREAD_POOL_H_
 #define FOCUS_PARALLEL_THREAD_POOL_H_
 
@@ -37,12 +31,31 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace focus {
+
+// Non-owning reference to a callable that outlives the call; never allocates.
+template <typename Sig>
+class FunctionRef;
+template <typename R, typename... Args>
+class FunctionRef<R(Args...)> {
+ public:
+  template <typename F>
+  FunctionRef(F&& f)
+      : obj_(const_cast<void*>(static_cast<const void*>(&f))),
+        call_([](void* o, Args... args) -> R {
+          return (*static_cast<std::remove_reference_t<F>*>(o))(args...);
+        }) {}
+  R operator()(Args... args) const { return call_(obj_, args...); }
+
+ private:
+  void* obj_;
+  R (*call_)(void*, Args...);
+};
 
 class ThreadPool {
  public:
@@ -53,19 +66,9 @@ class ThreadPool {
   // Total parallelism including the calling thread (>= 1).
   int num_threads() const { return num_threads_; }
 
-  // Runs fn(shard) for every shard in [0, nshards). The calling thread
-  // participates; returns after all shards completed. Falls back to a
-  // serial in-order loop when the pool has no workers, nshards <= 1, or
-  // the caller is already inside a parallel region.
-  void RunShards(int nshards, const std::function<void(int)>& fn);
-
-  // Joins the current workers and re-creates the pool with `num_threads`
-  // total threads. Intended for tests and benchmarks that compare thread
-  // counts in-process; must not be called from inside a parallel region,
-  // and must not run concurrently with a ParallelFor/RunShards issued from
-  // another thread (RunShards reads the worker list without a lock on its
-  // fast path, so callers provide single-threaded control flow around
-  // Resize — which every test/bench caller does).
+  // Joins the workers and restarts the pool with `num_threads` threads.
+  // Not from inside a region, nor concurrently with a ParallelFor on
+  // another thread (which reads the thread count unlocked).
   void Resize(int num_threads);
 
   ~ThreadPool();
@@ -74,7 +77,13 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
  private:
+  friend void ParallelFor(int64_t, int64_t, int64_t,
+                          FunctionRef<void(int64_t, int64_t)>);
   explicit ThreadPool(int num_threads);
+
+  // Runs body over nshards >= 2 slices of [begin, begin + range).
+  void RunShards(int nshards, int64_t begin, int64_t range,
+                 const FunctionRef<void(int64_t, int64_t)>& body);
 
   void StartWorkers(int num_workers);
   void StopWorkers();
@@ -96,25 +105,33 @@ class ThreadPool {
   uint64_t generation_ = 0;
   int active_workers_ = 0;
   bool shutdown_ = false;
-  const std::function<void(int)>* fn_ = nullptr;
+  const FunctionRef<void(int64_t, int64_t)>* body_ = nullptr;
+  int64_t begin_ = 0, chunk_ = 0, rem_ = 0;
   int nshards_ = 0;
   std::atomic<int> next_shard_{0};
   std::exception_ptr error_;
 };
 
-// True while the calling thread is executing inside a ParallelFor body
-// (worker threads and the participating caller). Nested ParallelFor calls
-// check this and run serially.
+// True while the calling thread runs a ParallelFor body (workers and the
+// participating caller); nested ParallelFor calls then run inline.
 bool InParallelRegion();
 
-// Splits [begin, end) into at most ThreadPool::Global().num_threads()
-// contiguous shards of at least `grain` elements each and runs
-// body(shard_begin, shard_end) for every shard in parallel. When only one
-// shard results (small range, single-thread pool, or nested call) the body
-// is invoked once with the full range on the calling thread — byte-for-byte
-// the serial code path.
-void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                 const std::function<void(int64_t, int64_t)>& body);
+// Work per element of a streamed sweep (elementwise, reductions, row
+// kernels) in multiply-add units; measured in EXPERIMENTS.md.
+inline constexpr int64_t kStreamWork = 4;
+
+// Minimum range * work_per_index one shard carries (thread_pool.cc).
+extern const int64_t kMinShardWork;
+
+// min(threads, range, ceil(range * work_per_index / kMinShardWork)), or
+// 0 for an empty range; a product past int64 counts as above threshold.
+int NumShards(int64_t range, int64_t work_per_index, int threads);
+
+// Runs body(shard_begin, shard_end) over NumShards(end - begin,
+// work_per_index, num_threads()) contiguous shards of [begin, end). One
+// shard (little work, one thread, or a nested call) is one inline call.
+void ParallelFor(int64_t begin, int64_t end, int64_t work_per_index,
+                 FunctionRef<void(int64_t, int64_t)> body);
 
 }  // namespace focus
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "parallel/thread_pool.h"
-#include "tensor/plan_hooks.h"
 #include "tensor/tensor.h"
 
 // Opens every public op entry point in ops_*.cc (enforced by
@@ -49,7 +48,7 @@ void SweepRows(const std::vector<int64_t>& out_strides,
                int64_t m, const RowFn& row_fn) {
   if (n == 0) return;
   const size_t outer_rank = out_strides.empty() ? 0 : out_strides.size() - 1;
-  ParallelFor(0, n / m, plan_hooks::RowGrain(m), [&](int64_t r0, int64_t r1) {
+  ParallelFor(0, n / m, kStreamWork * m, [&](int64_t r0, int64_t r1) {
     for (int64_t row = r0; row < r1; ++row) {
       std::array<int64_t, K> off{};
       int64_t rem = row * m;

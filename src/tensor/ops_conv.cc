@@ -72,7 +72,7 @@ Tensor Conv1d(const Tensor& x, const Tensor& w, const Tensor& bias,
         const float* pb = has_bias ? bufs[2] : nullptr;
         float* po = bufs[has_bias ? 3 : 2];
         const simd::KernelTable& kt = simd::Kernels();
-        ParallelFor(0, B * Cout, 1, [&](int64_t r0, int64_t r1) {
+        ParallelFor(0, B * Cout, Cin * K * Lout, [&](int64_t r0, int64_t r1) {
           for (int64_t r = r0; r < r1; ++r) {
             const int64_t b = r / Cout, co = r % Cout;
             float* orow = po + r * Lout;
@@ -123,7 +123,7 @@ Tensor Conv1d(const Tensor& x, const Tensor& w, const Tensor& bias,
         const simd::KernelTable& kt = simd::Kernels();
         // dX: batch entries own disjoint gx slices; within one, channels
         // accumulate co-ascending as in the serial kernel.
-        ParallelFor(0, B, 1, [&](int64_t b0, int64_t b1) {
+        ParallelFor(0, B, Cout * Cin * K * Lout, [&](int64_t b0, int64_t b1) {
           for (int64_t b = b0; b < b1; ++b) {
             for (int64_t co = 0; co < Cout; ++co) {
               const float* grow = pg + (b * Cout + co) * Lout;
@@ -152,7 +152,7 @@ Tensor Conv1d(const Tensor& x, const Tensor& w, const Tensor& bias,
         });
         // dW / db: out-channels own disjoint gw/gb slices; the batch
         // reduction stays b-ascending inside each shard.
-        ParallelFor(0, Cout, 1, [&](int64_t c0, int64_t c1) {
+        ParallelFor(0, Cout, B * Cin * K * Lout, [&](int64_t c0, int64_t c1) {
           for (int64_t co = c0; co < c1; ++co) {
             for (int64_t b = 0; b < B; ++b) {
               const float* grow = pg + (b * Cout + co) * Lout;
@@ -206,7 +206,8 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
   const float* pb = bias.defined() ? bias.data() : nullptr;
   float* po = out.data();
   const simd::KernelTable& kt = simd::Kernels();
-  ParallelFor(0, B * Cout, 1, [&](int64_t r0, int64_t r1) {
+  const int64_t plane_work = Cin * KH * KW * Hout * Wout;
+  ParallelFor(0, B * Cout, plane_work, [&](int64_t r0, int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
       const int64_t b = r / Cout, co = r % Cout;
       float* oplane = po + r * Hout * Wout;
@@ -250,7 +251,7 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
   return autograd::MakeResult(
       out, "Conv2d", {x, w, bias},
       [xd, wd, has_bias, B, Cin, H, W, Cout, KH, KW, Hout, Wout, stride,
-       padding](const Tensor& g) -> std::vector<Tensor> {
+       padding, plane_work](const Tensor& g) -> std::vector<Tensor> {
         Tensor gx = Tensor::Zeros(xd.shape());
         Tensor gw = Tensor::Zeros(wd.shape());
         Tensor gb = has_bias ? Tensor::Zeros({Cout}) : Tensor();
@@ -262,7 +263,7 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
         float* pgb = has_bias ? gb.data() : nullptr;
         const simd::KernelTable& kt = simd::Kernels();
         // dX: parallel over batch (disjoint gx planes per shard).
-        ParallelFor(0, B, 1, [&](int64_t b0, int64_t b1) {
+        ParallelFor(0, B, Cout * plane_work, [&](int64_t b0, int64_t b1) {
           for (int64_t b = b0; b < b1; ++b) {
             for (int64_t co = 0; co < Cout; ++co) {
               const float* gplane = pg + (b * Cout + co) * Hout * Wout;
@@ -299,7 +300,7 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
           }
         });
         // dW / db: parallel over out-channels (disjoint gw/gb slices).
-        ParallelFor(0, Cout, 1, [&](int64_t c0, int64_t c1) {
+        ParallelFor(0, Cout, B * plane_work, [&](int64_t c0, int64_t c1) {
           for (int64_t co = c0; co < c1; ++co) {
             for (int64_t b = 0; b < B; ++b) {
               const float* gplane = pg + (b * Cout + co) * Hout * Wout;

@@ -32,10 +32,6 @@ using UnK = void (*)(const float*, float*, int64_t);
 // re-resolved when the backward pass actually runs.
 using BwdKMember = BinK simd::KernelTable::*;
 
-// Minimum elements per shard: below this, pool dispatch costs more than the
-// arithmetic it spreads (defined in plan_hooks.h).
-using plan_hooks::kElemGrain;
-
 // Applies `f` elementwise with NumPy broadcasting. The equal-shape fast
 // path — the overwhelmingly common case — runs through the SIMD kernel
 // `kern`; lane grouping carries no cross-element data flow, so chunk
@@ -56,7 +52,7 @@ Tensor BinaryKernel(const Tensor& a, const Tensor& b, const char* name,
     Tensor out = Tensor::Empty(a.shape());
     const int64_t n = a.numel();
     plan_hooks::RunStep(name, {a, b}, out, [kern, n](float* const* bufs) {
-      ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
+      ParallelFor(0, n, kStreamWork, [&](int64_t i0, int64_t i1) {
         kern(bufs[0] + i0, bufs[1] + i0, bufs[2] + i0, i1 - i0);
       });
     });
@@ -107,7 +103,7 @@ Tensor UnaryOp(const Tensor& x, const char* name, F f, DF df) {
   plan_hooks::RunStep(name, {x}, out, [f, n](float* const* bufs) {
     const float* rx = bufs[0];
     float* ro = bufs[1];
-    ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
+    ParallelFor(0, n, kStreamWork, [&](int64_t i0, int64_t i1) {
       for (int64_t i = i0; i < i1; ++i) ro[i] = f(rx[i]);
     });
   });
@@ -124,7 +120,7 @@ Tensor UnaryOp(const Tensor& x, const char* name, F f, DF df) {
         const float* py = y_saved.data();
         float* pi = gin.data();
         const int64_t n = gin.numel();
-        ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
+        ParallelFor(0, n, kStreamWork, [&](int64_t i0, int64_t i1) {
           for (int64_t i = i0; i < i1; ++i) {
             pi[i] = pg[i] * df(px[i], py[i]);
           }
@@ -143,7 +139,7 @@ Tensor RoutedUnary(const Tensor& x, const char* name, UnK fwd,
   Tensor out = Tensor::Empty(x.shape());
   const int64_t n = x.numel();
   plan_hooks::RunStep(name, {x}, out, [fwd, n](float* const* bufs) {
-    ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
+    ParallelFor(0, n, kStreamWork, [&](int64_t i0, int64_t i1) {
       fwd(bufs[0] + i0, bufs[1] + i0, i1 - i0);
     });
   });
@@ -159,7 +155,7 @@ Tensor RoutedUnary(const Tensor& x, const char* name, UnK fwd,
         float* pi = gin.data();
         const int64_t n = gin.numel();
         const BinK k = simd::Kernels().*bwd;
-        ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
+        ParallelFor(0, n, kStreamWork, [&](int64_t i0, int64_t i1) {
           k(ps + i0, pg + i0, pi + i0, i1 - i0);
         });
         FlopCounter::Add(2 * n);
@@ -230,7 +226,7 @@ Tensor AddScalar(const Tensor& x, float s) {
   const auto kern = simd::Kernels().add_scalar;
   const int64_t n = x.numel();
   plan_hooks::RunStep("AddScalar", {x}, out, [kern, s, n](float* const* bufs) {
-    ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
+    ParallelFor(0, n, kStreamWork, [&](int64_t i0, int64_t i1) {
       kern(bufs[0] + i0, s, bufs[1] + i0, i1 - i0);
     });
   });
@@ -246,7 +242,7 @@ Tensor MulScalar(const Tensor& x, float s) {
   const auto kern = simd::Kernels().mul_scalar;
   const int64_t n = x.numel();
   plan_hooks::RunStep("MulScalar", {x}, out, [kern, s, n](float* const* bufs) {
-    ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
+    ParallelFor(0, n, kStreamWork, [&](int64_t i0, int64_t i1) {
       kern(bufs[0] + i0, s, bufs[1] + i0, i1 - i0);
     });
   });
@@ -364,7 +360,7 @@ void AddInPlace(Tensor& a, const Tensor& b) {
   const float* pb = b.data();
   const int64_t n = a.numel();
   const auto kern = simd::Kernels().add_inplace;
-  ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
+  ParallelFor(0, n, kStreamWork, [&](int64_t i0, int64_t i1) {
     kern(pa + i0, pb + i0, i1 - i0);
   });
   FlopCounter::Add(n);

@@ -37,7 +37,8 @@ void MatMulKernel(const float* a, const float* b, float* c, int64_t batch,
                   int64_t n) {
   const int64_t row_blocks = (m + kBlockM - 1) / kBlockM;
   const auto row_block = simd::Kernels().matmul_row_block;
-  ParallelFor(0, batch * row_blocks, 1, [&](int64_t t0, int64_t t1) {
+  const int64_t task_work = std::min(m, kBlockM) * k * n;
+  ParallelFor(0, batch * row_blocks, task_work, [&](int64_t t0, int64_t t1) {
     for (int64_t task = t0; task < t1; ++task) {
       const int64_t t = task / row_blocks;
       const int64_t block = task % row_blocks;

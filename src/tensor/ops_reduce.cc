@@ -91,9 +91,8 @@ Tensor Sum(const Tensor& x, int64_t dim, bool keepdim) {
         } else if (inner == 1) {
           // Reducing the innermost dim: each output is the sum of a
           // contiguous row — the SIMD row_sum's fixed lane split applies.
-          const int64_t grain =
-              std::max<int64_t>(1, 16384 / std::max<int64_t>(1, reduce));
-          ParallelFor(0, outer, grain, [&](int64_t o0, int64_t o1) {
+          ParallelFor(0, outer, kStreamWork * reduce,
+                      [&](int64_t o0, int64_t o1) {
             for (int64_t o = o0; o < o1; ++o) {
               po[o] = row_sum(px + o * reduce, reduce);
             }
@@ -102,9 +101,8 @@ Tensor Sum(const Tensor& x, int64_t dim, bool keepdim) {
           // Shards own disjoint outer slices (disjoint output rows); the
           // reduction stays r-ascending per element (vector add over
           // inner).
-          const int64_t grain = std::max<int64_t>(
-              1, 16384 / std::max<int64_t>(1, reduce * inner));
-          ParallelFor(0, outer, grain, [&](int64_t o0, int64_t o1) {
+          ParallelFor(0, outer, kStreamWork * reduce * inner,
+                      [&](int64_t o0, int64_t o1) {
             for (int64_t o = o0; o < o1; ++o) {
               float* orow = po + o * inner;
               for (int64_t r = 0; r < reduce; ++r) {
@@ -121,9 +119,8 @@ Tensor Sum(const Tensor& x, int64_t dim, bool keepdim) {
         } else {
           // Shards own disjoint inner column ranges of every output row;
           // the reduction stays r-ascending per element.
-          const int64_t grain = std::max<int64_t>(
-              1, 16384 / std::max<int64_t>(1, outer * reduce));
-          ParallelFor(0, inner, grain, [&](int64_t i0, int64_t i1) {
+          ParallelFor(0, inner, kStreamWork * outer * reduce,
+                      [&](int64_t i0, int64_t i1) {
             for (int64_t o = 0; o < outer; ++o) {
               float* orow = po + o * inner;
               for (int64_t r = 0; r < reduce; ++r) {

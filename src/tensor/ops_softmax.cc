@@ -23,13 +23,6 @@
 
 namespace focus {
 
-namespace {
-// Rows are cheap for small n; shard only when a shard carries at least
-// this many scalar elements so pool dispatch never dominates (the grain
-// is defined in plan_hooks.h).
-using plan_hooks::RowGrain;
-}  // namespace
-
 // softmax(scale * x) in one row sweep: the scaled logits are never
 // materialized, in eager, training or planned execution alike. The
 // kernel's x * scale is the same float32 product MulScalar computes,
@@ -47,7 +40,7 @@ Tensor SoftmaxLastDim(const Tensor& x, float scale) {
       "Softmax", {x}, out, [rows_kern, scale, rows, n](float* const* bufs) {
         const float* px = bufs[0];
         float* po = bufs[1];
-        ParallelFor(0, rows, RowGrain(n), [&](int64_t r0, int64_t r1) {
+        ParallelFor(0, rows, kStreamWork * n, [&](int64_t r0, int64_t r1) {
           rows_kern(px + r0 * n, scale, po + r0 * n, r1 - r0, n);
         });
       });
@@ -64,7 +57,7 @@ Tensor SoftmaxLastDim(const Tensor& x, float scale) {
         const float* py = y_saved.data();
         float* pi = gin.data();
         const auto bwd_kern = simd::Kernels().softmax_bwd_rows;
-        ParallelFor(0, rows, RowGrain(n), [&](int64_t r0, int64_t r1) {
+        ParallelFor(0, rows, kStreamWork * n, [&](int64_t r0, int64_t r1) {
           bwd_kern(py + r0 * n, pg + r0 * n, pi + r0 * n, r1 - r0, n);
         });
         FlopCounter::Add(4 * y_saved.numel());
@@ -102,7 +95,7 @@ Tensor LayerNormLastDim(const Tensor& x, const Tensor& gamma,
         float* po = bufs[3];
         float* pmeans = bufs[4];
         float* prstds = bufs[5];
-        ParallelFor(0, rows, RowGrain(n), [&](int64_t r0, int64_t r1) {
+        ParallelFor(0, rows, kStreamWork * n, [&](int64_t r0, int64_t r1) {
           rows_kern(px + r0 * n, pgm, pbt, eps, po + r0 * n, pmeans + r0,
                     prstds + r0, r1 - r0, n);
         });
@@ -131,13 +124,13 @@ Tensor LayerNormLastDim(const Tensor& x, const Tensor& gamma,
         // rstd * (dxhat - mean(dxhat) - xhat * mean(dxhat*xhat)) with
         // dxhat_i = g_i * gamma_i.
         const auto dx_kern = simd::Kernels().layernorm_bwd_dx_rows;
-        ParallelFor(0, rows, RowGrain(n), [&](int64_t r0, int64_t r1) {
+        ParallelFor(0, rows, kStreamWork * n, [&](int64_t r0, int64_t r1) {
           dx_kern(px + r0 * n, pg + r0 * n, pgm, pmeans + r0,
                   prstds + r0, pgx + r0 * n, r1 - r0, n);
         });
         // dgamma/dbeta: columns are independent; the row reduction stays
         // r-ascending inside each column, matching the serial order.
-        ParallelFor(0, n, 16, [&](int64_t c0, int64_t c1) {
+        ParallelFor(0, n, rows, [&](int64_t c0, int64_t c1) {
           for (int64_t r = 0; r < rows; ++r) {
             const float mean = pmeans[r];
             const float rstd = prstds[r];

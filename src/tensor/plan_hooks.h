@@ -6,7 +6,7 @@
 // on the eager buffers; when a plan capture is active (a CaptureSink is
 // installed), the same object is recorded as a StepRecord with the
 // step's input/output tensors. The closure captures resolved shapes,
-// grains, scalars and (for some ops) kernel pointers by value — never
+// work figures, scalars and (for some ops) kernel pointers by value — never
 // buffer addresses — so the plan compiler can rebind it onto slab
 // offsets and per-call input pointers. A plan replay therefore performs the
 // identical IEEE operations in the identical order: bit-identity with
@@ -28,7 +28,6 @@
 #ifndef FOCUS_TENSOR_PLAN_HOOKS_H_
 #define FOCUS_TENSOR_PLAN_HOOKS_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -131,14 +130,6 @@ void RunStep(const char* name, std::vector<Tensor> inputs, Tensor& out,
   }
   sink->OnStep(StepRecord(name, std::move(inputs), out,
                           std::move(scratch_numels), std::move(fn)));
-}
-
-// Shard grain every elementwise op uses for ParallelFor.
-inline constexpr int64_t kElemGrain = 16384;
-
-// Row-sharding grain for softmax/layernorm-style row kernels.
-inline int64_t RowGrain(int64_t n) {
-  return std::max<int64_t>(1, 4096 / (n + 1));
 }
 
 }  // namespace plan_hooks

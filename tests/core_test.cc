@@ -199,12 +199,15 @@ TEST_P(FocusShapeTest, ForwardShape) {
   EXPECT_EQ(y.shape(), (Shape{c.batch, c.entities, c.horizon}));
 }
 
+// The last case is the bench shape, whose matmuls split across the
+// kernel pool under a multi-thread FOCUS_NUM_THREADS.
 INSTANTIATE_TEST_SUITE_P(
     Grid, FocusShapeTest,
     ::testing::Values(ShapeCase{1, 2, 32, 8, 8, 4, 16, 2},
                       ShapeCase{2, 3, 64, 16, 16, 8, 32, 4},
                       ShapeCase{3, 1, 48, 24, 8, 4, 16, 6},
-                      ShapeCase{2, 5, 96, 12, 12, 6, 24, 3}));
+                      ShapeCase{2, 5, 96, 12, 12, 6, 24, 3},
+                      ShapeCase{1, 8, 512, 24, 16, 16, 64, 6}));
 
 TEST(FocusModelTest, AllVariantsForwardAndName) {
   for (auto variant : {FocusVariant::kFull, FocusVariant::kAttn,

@@ -7,6 +7,7 @@
 // the same contract to the SIMD dispatch axis: a training run must not
 // care which vector backend executed it.
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -31,12 +32,16 @@
 #include "tensor/ops.h"
 #include "tensor/simd/vec.h"
 #include "tensor/tensor.h"
+#include "tests/split_model.h"
 
 namespace focus {
 namespace {
 
 // Runs `fn` under 1-, 4-, and 8-thread pools and asserts all returned
-// tensors match byte-for-byte across every pool size.
+// tensors match byte-for-byte across every pool size. A case only
+// exercises the split if its kernels carry more than kMinShardWork
+// (tests/parallel_test.cc pins the rule), so each kernel test below
+// includes at least one shape above it.
 void ExpectBitIdenticalAcrossThreadCounts(
     const std::function<std::vector<Tensor>()>& fn) {
   ThreadPool::Global().Resize(1);
@@ -128,48 +133,64 @@ TEST(ParityTest, MatMulBatched) {
 }
 
 TEST(ParityTest, MatMulBroadcastBatch) {
-  ExpectBitIdenticalAcrossThreadCounts([] {
-    return ForwardBackward(
-        [](std::vector<Tensor>& in) { return MatMul(in[0], in[1]); },
-        [] {
-          Rng rng(9);
-          // 3D lhs against shared 2D rhs: exercises the broadcast-batch
-          // kernel path and the batch-sum in backward.
-          return std::vector<Tensor>{Tensor::Randn({5, 31, 17}, rng),
-                                     Tensor::Randn({17, 23}, rng)};
-        });
-  });
+  // {5, 67, 96} @ {96, 97}: 10 row-block tasks of 64*96*97 each.
+  for (const auto& [a, b] : {std::pair<Shape, Shape>{{5, 31, 17}, {17, 23}},
+                             std::pair<Shape, Shape>{{5, 67, 96}, {96, 97}}}) {
+    ExpectBitIdenticalAcrossThreadCounts([&] {
+      return ForwardBackward(
+          [](std::vector<Tensor>& in) { return MatMul(in[0], in[1]); },
+          [&] {
+            Rng rng(9);
+            // 3D lhs against shared 2D rhs: exercises the broadcast-batch
+            // kernel path and the batch-sum in backward.
+            return std::vector<Tensor>{Tensor::Randn(a, rng),
+                                       Tensor::Randn(b, rng)};
+          });
+    });
+  }
 }
 
 TEST(ParityTest, Conv1dForwardBackward) {
-  ExpectBitIdenticalAcrossThreadCounts([] {
-    return ForwardBackward(
-        [](std::vector<Tensor>& in) {
-          return Conv1d(in[0], in[1], in[2], /*stride=*/2, /*padding=*/3,
-                        /*dilation=*/2);
-        },
-        [] {
-          Rng rng(10);
-          return std::vector<Tensor>{Tensor::Randn({5, 4, 37}, rng),
-                                     Tensor::Randn({6, 4, 5}, rng),
-                                     Tensor::Randn({6}, rng)};
-        });
-  });
+  // (B, Cin, L, Cout): the second case's 128 output rows carry
+  // Cin*K*Lout = 10160 each, and dX/dW split over B and Cout too.
+  for (const auto& [B, Cin, L, Cout] :
+       {std::array<int64_t, 4>{5, 4, 37, 6},
+        std::array<int64_t, 4>{4, 16, 256, 32}}) {
+    ExpectBitIdenticalAcrossThreadCounts([&] {
+      return ForwardBackward(
+          [](std::vector<Tensor>& in) {
+            return Conv1d(in[0], in[1], in[2], /*stride=*/2, /*padding=*/3,
+                          /*dilation=*/2);
+          },
+          [&] {
+            Rng rng(10);
+            return std::vector<Tensor>{Tensor::Randn({B, Cin, L}, rng),
+                                       Tensor::Randn({Cout, Cin, 5}, rng),
+                                       Tensor::Randn({Cout}, rng)};
+          });
+    });
+  }
 }
 
 TEST(ParityTest, Conv2dForwardBackward) {
-  ExpectBitIdenticalAcrossThreadCounts([] {
-    return ForwardBackward(
-        [](std::vector<Tensor>& in) {
-          return Conv2d(in[0], in[1], in[2], /*stride=*/1, /*padding=*/1);
-        },
-        [] {
-          Rng rng(11);
-          return std::vector<Tensor>{Tensor::Randn({3, 3, 13, 11}, rng),
-                                     Tensor::Randn({5, 3, 3, 3}, rng),
-                                     Tensor::Randn({5}, rng)};
-        });
-  });
+  // (B, Cin, H, W, Cout): the second case's 32 output planes carry
+  // Cin*KH*KW*Hout*Wout = 73728 each.
+  for (const auto& [B, Cin, H, W, Cout] :
+       {std::array<int64_t, 5>{3, 3, 13, 11, 5},
+        std::array<int64_t, 5>{2, 8, 32, 32, 16}}) {
+    ExpectBitIdenticalAcrossThreadCounts([&] {
+      return ForwardBackward(
+          [](std::vector<Tensor>& in) {
+            return Conv2d(in[0], in[1], in[2], /*stride=*/1, /*padding=*/1);
+          },
+          [&] {
+            Rng rng(11);
+            return std::vector<Tensor>{Tensor::Randn({B, Cin, H, W}, rng),
+                                       Tensor::Randn({Cout, Cin, 3, 3}, rng),
+                                       Tensor::Randn({Cout}, rng)};
+          });
+    });
+  }
 }
 
 TEST(ParityTest, SoftmaxForwardBackward) {
@@ -233,18 +254,22 @@ TEST(ParityTest, ScaledSoftmaxMatchesMulScalarComposition) {
 }
 
 TEST(ParityTest, LayerNormForwardBackward) {
-  ExpectBitIdenticalAcrossThreadCounts([] {
-    return ForwardBackward(
-        [](std::vector<Tensor>& in) {
-          return LayerNormLastDim(in[0], in[1], in[2], 1e-5f);
-        },
-        [] {
-          Rng rng(13);
-          return std::vector<Tensor>{Tensor::Randn({53, 19}, rng),
-                                     Tensor::Randn({19}, rng),
-                                     Tensor::Randn({19}, rng)};
-        });
-  });
+  // 2048 x 160 splits the row sweeps and the dgamma/dbeta columns.
+  for (const auto& [rows, n] : {std::pair<int64_t, int64_t>{53, 19},
+                                std::pair<int64_t, int64_t>{2048, 160}}) {
+    ExpectBitIdenticalAcrossThreadCounts([&] {
+      return ForwardBackward(
+          [](std::vector<Tensor>& in) {
+            return LayerNormLastDim(in[0], in[1], in[2], 1e-5f);
+          },
+          [&] {
+            Rng rng(13);
+            return std::vector<Tensor>{Tensor::Randn({rows, n}, rng),
+                                       Tensor::Randn({n}, rng),
+                                       Tensor::Randn({n}, rng)};
+          });
+    });
+  }
 }
 
 TEST(ParityTest, ElementwiseBinaryAndUnary) {
@@ -262,67 +287,72 @@ TEST(ParityTest, ElementwiseBinaryAndUnary) {
 }
 
 TEST(ParityTest, BroadcastBinary) {
-  ExpectBitIdenticalAcrossThreadCounts([] {
-    return ForwardBackward(
-        [](std::vector<Tensor>& in) { return Mul(in[0], in[1]); },
-        [] {
-          Rng rng(15);
-          return std::vector<Tensor>{Tensor::Randn({64, 33, 9}, rng),
-                                     Tensor::Randn({33, 1}, rng)};
-        });
-  });
+  // The second output has 168960 elements: its row sweep splits.
+  for (const Shape& a : {Shape{64, 33, 9}, Shape{128, 33, 40}}) {
+    ExpectBitIdenticalAcrossThreadCounts([&] {
+      return ForwardBackward(
+          [](std::vector<Tensor>& in) { return Mul(in[0], in[1]); },
+          [&] {
+            Rng rng(15);
+            return std::vector<Tensor>{Tensor::Randn(a, rng),
+                                       Tensor::Randn({33, 1}, rng)};
+          });
+    });
+  }
 }
 
 // Every axis order of a rank-4 tensor with odd extents, at 1 and 4
 // threads: the forward and the input gradient of SumAll(Permute(x) * w)
 // (w scattered back through the inverse permutation) must match a naive
-// per-element index walk byte for byte.
+// per-element index walk byte for byte. The second shape's 81719
+// elements split every row sweep.
 TEST(ParityTest, PermuteEveryAxisOrder) {
-  const Shape shape = {9, 11, 13, 5};
-  const std::vector<int64_t> in_strides = RowMajorStrides(shape);
-  std::vector<int64_t> dims = {0, 1, 2, 3};
-  int orders = 0;
-  do {
-    Shape out_shape(4);
-    for (size_t d = 0; d < 4; ++d) {
-      out_shape[d] = shape[static_cast<size_t>(dims[d])];
-    }
-    Rng rng(21);
-    const Tensor x0 = Tensor::Randn(shape, rng);
-    const Tensor w = Tensor::Randn(out_shape, rng);
-    // Naive reference: output element flat reads x at sum_d i_d *
-    // in_strides[dims[d]]; the gradient scatters w the same way.
-    std::vector<float> want_out(static_cast<size_t>(x0.numel()));
-    std::vector<float> want_grad(want_out.size());
-    const std::vector<int64_t> out_strides = RowMajorStrides(out_shape);
-    for (int64_t flat = 0; flat < x0.numel(); ++flat) {
-      int64_t rem = flat, off = 0;
+  for (const Shape& shape : {Shape{9, 11, 13, 5}, Shape{17, 19, 23, 11}}) {
+    const std::vector<int64_t> in_strides = RowMajorStrides(shape);
+    std::vector<int64_t> dims = {0, 1, 2, 3};
+    int orders = 0;
+    do {
+      Shape out_shape(4);
       for (size_t d = 0; d < 4; ++d) {
-        const int64_t idx = rem / out_strides[d];
-        rem -= idx * out_strides[d];
-        off += idx * in_strides[static_cast<size_t>(dims[d])];
+        out_shape[d] = shape[static_cast<size_t>(dims[d])];
       }
-      want_out[static_cast<size_t>(flat)] = x0.data()[off];
-      want_grad[static_cast<size_t>(off)] = w.data()[flat];
-    }
-    for (int threads : {1, 4}) {
-      ThreadPool::Global().Resize(threads);
-      Tensor x = x0.Clone().SetRequiresGrad(true);
-      Tensor out = Permute(x, dims);
-      ASSERT_EQ(out.shape(), out_shape);
-      SumAll(Mul(out, w)).Backward();
-      const std::string what = "order " + std::to_string(dims[0]) +
-                               std::to_string(dims[1]) +
-                               std::to_string(dims[2]) +
-                               std::to_string(dims[3]) + " at " +
-                               std::to_string(threads) + " threads";
-      ExpectSameBytes(out, want_out, "forward, " + what);
-      ExpectSameBytes(x.Grad(), want_grad, "grad, " + what);
-    }
-    ++orders;
-  } while (std::next_permutation(dims.begin(), dims.end()));
+      Rng rng(21);
+      const Tensor x0 = Tensor::Randn(shape, rng);
+      const Tensor w = Tensor::Randn(out_shape, rng);
+      // Naive reference: output element flat reads x at sum_d i_d *
+      // in_strides[dims[d]]; the gradient scatters w the same way.
+      std::vector<float> want_out(static_cast<size_t>(x0.numel()));
+      std::vector<float> want_grad(want_out.size());
+      const std::vector<int64_t> out_strides = RowMajorStrides(out_shape);
+      for (int64_t flat = 0; flat < x0.numel(); ++flat) {
+        int64_t rem = flat, off = 0;
+        for (size_t d = 0; d < 4; ++d) {
+          const int64_t idx = rem / out_strides[d];
+          rem -= idx * out_strides[d];
+          off += idx * in_strides[static_cast<size_t>(dims[d])];
+        }
+        want_out[static_cast<size_t>(flat)] = x0.data()[off];
+        want_grad[static_cast<size_t>(off)] = w.data()[flat];
+      }
+      for (int threads : {1, 4}) {
+        ThreadPool::Global().Resize(threads);
+        Tensor x = x0.Clone().SetRequiresGrad(true);
+        Tensor out = Permute(x, dims);
+        ASSERT_EQ(out.shape(), out_shape);
+        SumAll(Mul(out, w)).Backward();
+        const std::string what = "order " + std::to_string(dims[0]) +
+                                 std::to_string(dims[1]) +
+                                 std::to_string(dims[2]) +
+                                 std::to_string(dims[3]) + " at " +
+                                 std::to_string(threads) + " threads";
+        ExpectSameBytes(out, want_out, "forward, " + what);
+        ExpectSameBytes(x.Grad(), want_grad, "grad, " + what);
+      }
+      ++orders;
+    } while (std::next_permutation(dims.begin(), dims.end()));
+    EXPECT_EQ(orders, 24);
+  }
   ThreadPool::Global().Resize(1);
-  EXPECT_EQ(orders, 24);
 }
 
 // Add/Sub/Mul/Div over the broadcast row shapes (vec-vec, vec-scalar,
@@ -333,6 +363,7 @@ TEST(ParityTest, PermuteEveryAxisOrder) {
 // must match a naive per-element reference byte for byte (the backward
 // of a full-shape operand is itself a broadcast binary op); the gradient
 // of a broadcast operand (a Sum reduction) must match across threads.
+// The last case's 80000-element output splits its row sweep.
 TEST(ParityTest, BroadcastBinaryRowShapes) {
   struct Case {
     Shape a, b;
@@ -343,6 +374,7 @@ TEST(ParityTest, BroadcastBinaryRowShapes) {
       {{40, 50, 7}, {40, 50, 1}},  // vec-scalar
       {{40, 50, 1}, {40, 50, 7}},  // scalar-vec
       {{1, 50, 1}, {40, 1, 7}},    // scalar-vec, both operands broadcast
+      {{100, 1, 16}, {100, 50, 16}},  // vec-vec, above the split threshold
   };
   using OpFn = Tensor (*)(const Tensor&, const Tensor&);
   const std::vector<std::pair<const char*, OpFn>> ops = {
@@ -421,17 +453,20 @@ TEST(ParityTest, BroadcastBinaryRowShapes) {
 }
 
 TEST(ParityTest, SumOverEachAxis) {
-  for (int64_t dim = 0; dim < 3; ++dim) {
-    ExpectBitIdenticalAcrossThreadCounts([dim] {
-      return ForwardBackward(
-          [dim](std::vector<Tensor>& in) {
-            return Sum(in[0], dim, /*keepdim=*/false);
-          },
-          [] {
-            Rng rng(16);
-            return std::vector<Tensor>{Tensor::Randn({23, 300, 7}, rng)};
-          });
-    });
+  // 23 x 300 x 16 puts every axis's reduction above the split threshold.
+  for (const Shape& shape : {Shape{23, 300, 7}, Shape{23, 300, 16}}) {
+    for (int64_t dim = 0; dim < 3; ++dim) {
+      ExpectBitIdenticalAcrossThreadCounts([&] {
+        return ForwardBackward(
+            [dim](std::vector<Tensor>& in) {
+              return Sum(in[0], dim, /*keepdim=*/false);
+            },
+            [&] {
+              Rng rng(16);
+              return std::vector<Tensor>{Tensor::Randn(shape, rng)};
+            });
+      });
+    }
   }
 }
 
@@ -450,25 +485,30 @@ TEST(ParityTest, ClusterAssignment) {
 }
 
 TEST(ParityTest, ClusterFitIsThreadCountInvariant) {
-  Rng rng(18);
-  Tensor segments = Tensor::Randn({512, 16}, rng);
-  cluster::ClusteringConfig cfg;
-  cfg.segment_length = 16;
-  cfg.num_prototypes = 8;
-  cfg.max_iters = 4;
-  cfg.refine_steps = 3;
-  cfg.seed = 19;
-  ThreadPool::Global().Resize(1);
-  const auto serial = cluster::SegmentClustering(cfg).Fit(segments);
-  ThreadPool::Global().Resize(4);
-  const auto pooled = cluster::SegmentClustering(cfg).Fit(segments);
-  ThreadPool::Global().Resize(1);
-  EXPECT_EQ(serial.assignments, pooled.assignments);
-  ASSERT_EQ(serial.prototypes.numel(), pooled.prototypes.numel());
-  EXPECT_EQ(0, std::memcmp(
-                   serial.prototypes.data(), pooled.prototypes.data(),
-                   static_cast<size_t>(serial.prototypes.numel()) *
-                       sizeof(float)));
+  // 20000 segments split both the k-means++ distance sweep (p per row)
+  // and the assignment (k*p per row).
+  for (int64_t n : {512, 20000}) {
+    Rng rng(18);
+    Tensor segments = Tensor::Randn({n, 16}, rng);
+    cluster::ClusteringConfig cfg;
+    cfg.segment_length = 16;
+    cfg.num_prototypes = 8;
+    cfg.max_iters = 4;
+    cfg.refine_steps = 3;
+    cfg.seed = 19;
+    ThreadPool::Global().Resize(1);
+    const auto serial = cluster::SegmentClustering(cfg).Fit(segments);
+    ThreadPool::Global().Resize(4);
+    const auto pooled = cluster::SegmentClustering(cfg).Fit(segments);
+    ThreadPool::Global().Resize(1);
+    EXPECT_EQ(serial.assignments, pooled.assignments) << n;
+    ASSERT_EQ(serial.prototypes.numel(), pooled.prototypes.numel());
+    EXPECT_EQ(0, std::memcmp(
+                     serial.prototypes.data(), pooled.prototypes.data(),
+                     static_cast<size_t>(serial.prototypes.numel()) *
+                         sizeof(float)))
+        << n;
+  }
 }
 
 // Buffer recycling must be numerically invisible: the same training run
@@ -574,11 +614,13 @@ TEST(ParityTest, TrainStepSimdBackendBitIdentical) {
   }
 }
 
-// The models every plan parity test runs: FOCUS and two baselines, all
-// over (B, 3, 32) windows.
+// The models every plan parity test runs: FOCUS and two baselines over
+// (B, 3, 32) windows, and FOCUS at the bench shape over (B, 8, 512),
+// whose matmuls split across the pool.
 struct PlannedCase {
   const char* name;
   std::function<std::unique_ptr<ForecastModel>()> make;
+  int64_t entities = 3, lookback = 32;
 };
 
 std::vector<PlannedCase> PlannedCases() {
@@ -623,6 +665,13 @@ std::vector<PlannedCase> PlannedCases() {
          return std::unique_ptr<ForecastModel>(
              std::make_unique<baselines::DLinear>(cfg));
        }},
+      {"FOCUS-split",
+       [] {
+         return std::unique_ptr<ForecastModel>(
+             std::make_unique<core::FocusModel>(SplitFocusConfig(),
+                                                SplitFocusPrototypes()));
+       },
+       8, 512},
   };
 }
 
@@ -639,7 +688,7 @@ TEST(ParityTest, ForecastPlannedVsEagerBitIdentical) {
       auto model = c.make();
       model->SetTraining(false);
       Rng rng(27);
-      Tensor x = Tensor::Randn({2, 3, 32}, rng);
+      Tensor x = Tensor::Randn({2, c.entities, c.lookback}, rng);
       ThreadPool::Global().Resize(1);
       Tensor eager;
       {
@@ -683,7 +732,7 @@ TEST(ParityTest, PlanReplayAcrossBackendSwitchBitIdentical) {
       auto model = c.make();
       model->SetTraining(false);
       Rng rng(28);
-      Tensor x = Tensor::Randn({2, 3, 32}, rng);
+      Tensor x = Tensor::Randn({2, c.entities, c.lookback}, rng);
       ASSERT_TRUE(simd::SetBackend(capture_backend));
       auto plan = plan::ExecutionPlan::Capture(
           [&](const Tensor& in) { return model->Forward(in); }, x);
@@ -714,17 +763,11 @@ TEST(ParityTest, PlanReplayAcrossBackendSwitchBitIdentical) {
 // the queue, the kernel pool size, or the SIMD backend. Plan-replay
 // bit-identity reduces all of these axes to the one golden eager
 // reference.
-TEST(ParityTest, ServedVsEagerBitIdentical) {
-  core::FocusConfig cfg;
-  cfg.lookback = 32;
-  cfg.horizon = 8;
-  cfg.num_entities = 3;
-  cfg.patch_len = 8;
-  cfg.d_model = 16;
-  cfg.readout_queries = 2;
-  cfg.seed = 23;
+void ExpectServedMatchesEager(const core::FocusConfig& cfg,
+                              const Tensor& prototypes) {
   constexpr int kWindows = 6;
   constexpr int kClients = 2;
+  const int64_t entities = cfg.num_entities, lookback = cfg.lookback;
 
   std::vector<simd::Backend> backends = {simd::Backend::kScalar};
   if (simd::Avx2Available()) backends.push_back(simd::Backend::kAvx2);
@@ -732,9 +775,7 @@ TEST(ParityTest, ServedVsEagerBitIdentical) {
     ASSERT_TRUE(simd::SetBackend(backend));
     const char* backend_name =
         backend == simd::Backend::kAvx2 ? "avx2" : "scalar";
-    Rng prng(24);
-    auto model =
-        std::make_unique<core::FocusModel>(cfg, Tensor::Randn({4, 8}, prng));
+    auto model = std::make_unique<core::FocusModel>(cfg, prototypes);
     model->SetTraining(false);
 
     // Golden references: eager batch-1 forwards on a serial pool.
@@ -742,9 +783,10 @@ TEST(ParityTest, ServedVsEagerBitIdentical) {
     std::vector<Tensor> windows, refs;
     for (int i = 0; i < kWindows; ++i) {
       Rng rng(100 + static_cast<uint64_t>(i));
-      windows.push_back(Tensor::Randn({3, 32}, rng));
+      windows.push_back(Tensor::Randn({entities, lookback}, rng));
       InferenceModeGuard inference;
-      refs.push_back(model->Forward(windows.back().Reshape({1, 3, 32})));
+      refs.push_back(
+          model->Forward(windows.back().Reshape({1, entities, lookback})));
     }
 
     for (int serve_threads : {1, 2}) {
@@ -752,7 +794,7 @@ TEST(ParityTest, ServedVsEagerBitIdentical) {
         ThreadPool::Global().Resize(pool_threads);
         serve::ServeOptions opts;
         opts.threads = serve_threads;
-        serve::ForecastEngine engine(model.get(), 3, 32, opts);
+        serve::ForecastEngine engine(model.get(), entities, lookback, opts);
         std::vector<std::thread> clients;
         clients.reserve(kClients);
         for (int c = 0; c < kClients; ++c) {
@@ -765,8 +807,8 @@ TEST(ParityTest, ServedVsEagerBitIdentical) {
               ASSERT_EQ(0, std::memcmp(served.data(), refs[w].data(),
                                        static_cast<size_t>(served.numel()) *
                                            sizeof(float)))
-                  << "window " << w << " differs when served ("
-                  << backend_name << ", " << serve_threads
+                  << "window " << w << " differs when served (L="
+                  << lookback << ", " << backend_name << ", " << serve_threads
                   << " serve threads, " << pool_threads << " pool threads)";
             }
           });
@@ -777,6 +819,21 @@ TEST(ParityTest, ServedVsEagerBitIdentical) {
     ThreadPool::Global().Resize(1);
   }
   simd::ReinitFromEnv();
+}
+
+TEST(ParityTest, ServedVsEagerBitIdentical) {
+  core::FocusConfig cfg;
+  cfg.lookback = 32;
+  cfg.horizon = 8;
+  cfg.num_entities = 3;
+  cfg.patch_len = 8;
+  cfg.d_model = 16;
+  cfg.readout_queries = 2;
+  cfg.seed = 23;
+  Rng prng(24);
+  ExpectServedMatchesEager(cfg, Tensor::Randn({4, 8}, prng));
+  // The bench shape: each served forward splits its matmuls.
+  ExpectServedMatchesEager(SplitFocusConfig(), SplitFocusPrototypes());
 }
 
 }  // namespace

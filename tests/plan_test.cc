@@ -4,16 +4,19 @@
 // from the DebugLayout listing), the zero-allocator-calls steady-state
 // invariant, shape-guard fallback, planned == eager bit-identity over
 // the elementwise and Conv1d capture hooks, a replay's FLOP charge equal
-// to eager's, and the fail-safe nullptr return for forwards that use
-// uninstrumented ops.
+// to eager's, the fail-safe nullptr return for forwards that use
+// uninstrumented ops, and a steady-state Run that makes no heap
+// allocation at all.
 #include "plan/plan.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,6 +31,7 @@
 #include "tensor/simd/vec.h"
 #include "tensor/tensor.h"
 #include "tests/conv2d_model.h"
+#include "tests/split_model.h"
 
 namespace focus {
 namespace {
@@ -517,6 +521,58 @@ TEST(PlanTest, InferenceModeBuildsNoTape) {
   Tensor y = Gelu(MatMul(x, x));
   EXPECT_FALSE(y.requires_grad());
   EXPECT_EQ(y.grad_fn(), nullptr);
+}
+
+// Global operator new / delete that count allocations while armed.
+std::atomic<int64_t> g_news{0};
+std::atomic<bool> g_count_news{false};
+
+}  // namespace
+}  // namespace focus
+
+// noinline: inlined into this file's callers, GCC would pair the new
+// expression with free() and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (focus::g_count_news.load(std::memory_order_relaxed)) {
+    focus::g_news.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* ptr = std::malloc(size == 0 ? 1 : size)) return ptr;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* ptr) noexcept { std::free(ptr); }
+[[gnu::noinline]] void operator delete(void* ptr, std::size_t) noexcept {
+  std::free(ptr);
+}
+
+namespace focus {
+namespace {
+
+// A steady-state replay of the bench FOCUS model (8 entities, d=64,
+// batch 1) makes no heap allocation, at a lookback whose kernels stay on
+// the calling thread (96) and at one whose matmuls split across the pool
+// (512): ParallelFor bodies pass by reference, never through an owning
+// std::function.
+TEST(PlanTest, SteadyStateRunAllocatesNothing) {
+  for (int64_t lookback : {96, 512}) {
+    FocusModel model(SplitFocusConfig(lookback), SplitFocusPrototypes());
+    model.SetTraining(false);
+    Rng rng(11);
+    Tensor x = Tensor::Randn({1, 8, lookback}, rng);
+    auto plan = ExecutionPlan::Capture(
+        [&](const Tensor& in) { return model.Forward(in); }, x);
+    ASSERT_NE(plan, nullptr);
+    for (int threads : {1, 4}) {
+      ThreadPool::Global().Resize(threads);
+      plan->Run(x);  // wakes the freshly started workers once
+      g_news.store(0);
+      g_count_news.store(true);
+      for (int run = 0; run < 100; ++run) plan->Run(x);
+      g_count_news.store(false);
+      EXPECT_EQ(0, g_news.load())
+          << "L=" << lookback << " threads=" << threads;
+    }
+  }
+  ThreadPool::Global().Resize(1);
 }
 
 }  // namespace

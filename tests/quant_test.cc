@@ -29,6 +29,7 @@
 #include "tensor/precision.h"
 #include "tensor/simd/vec.h"
 #include "tensor/tensor.h"
+#include "tests/split_model.h"
 #include "utils/rng.h"
 
 namespace focus {
@@ -229,17 +230,22 @@ Tensor EagerReference(core::FocusModel& model, const Tensor& window,
                       Precision precision) {
   InferenceModeGuard inference;
   PrecisionGuard guard(precision);
-  Tensor out = model.Forward(window.Reshape({1, kEntities, kLookback}));
-  Tensor ref = Tensor::Empty({kEntities, kHorizon});
+  Tensor out =
+      model.Forward(window.Reshape({1, window.size(0), window.size(1)}));
+  Tensor ref = Tensor::Empty({out.size(1), out.size(2)});
   std::memcpy(ref.data(), out.data(),
-              static_cast<size_t>(kEntities * kHorizon) * sizeof(float));
+              static_cast<size_t>(ref.numel()) * sizeof(float));
   return ref;
 }
 
-TEST(QuantServeTest, PerTenantPrecisionBitIdenticalToEager) {
-  auto model = ServableModel();
+// Both tenants of one model serve their own precision's eager forecast;
+// checked on the toy model and on the bench shape, whose forwards split
+// across the kernel pool.
+void ExpectTenantsBitIdenticalToEager(core::FocusModel* model) {
+  const int64_t entities = model->config().num_entities;
+  const int64_t lookback = model->config().lookback;
   Rng rng(41);
-  Tensor window = Tensor::Randn({kEntities, kLookback}, rng);
+  Tensor window = Tensor::Randn({entities, lookback}, rng);
   const Tensor f32_ref = EagerReference(*model, window, Precision::kF32);
   const Tensor int8_ref =
       EagerReference(*model, window, Precision::kInt8Proto);
@@ -255,7 +261,7 @@ TEST(QuantServeTest, PerTenantPrecisionBitIdenticalToEager) {
     serve::ServeOptions opts;
     opts.threads = 1;
     opts.precision = tenant.precision;
-    serve::ForecastEngine engine(model.get(), kEntities, kLookback, opts);
+    serve::ForecastEngine engine(model, entities, lookback, opts);
     EXPECT_EQ(engine.precision(), tenant.precision);
     Tensor served = engine.Forecast(window);
     ExpectSameBytes(served, *tenant.ref, tenant.what);
@@ -263,6 +269,13 @@ TEST(QuantServeTest, PerTenantPrecisionBitIdenticalToEager) {
     EXPECT_EQ(stats.planned_batches, 1) << tenant.what;
     engine.Shutdown();
   }
+}
+
+TEST(QuantServeTest, PerTenantPrecisionBitIdenticalToEager) {
+  ExpectTenantsBitIdenticalToEager(ServableModel().get());
+  core::FocusModel split(SplitFocusConfig(), SplitFocusPrototypes());
+  split.SetTraining(false);
+  ExpectTenantsBitIdenticalToEager(&split);
 }
 
 // A window whose every patch is a noisy copy of one separated

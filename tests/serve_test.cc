@@ -22,6 +22,7 @@
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "tests/conv2d_model.h"
+#include "tests/split_model.h"
 #include "utils/rng.h"
 
 namespace focus {
@@ -75,10 +76,11 @@ Tensor MakeWindow(uint64_t seed) {
 // The determinism reference: the eager batch-1 forward of one window.
 Tensor EagerReference(FocusModel& model, const Tensor& window) {
   InferenceModeGuard inference;
-  Tensor out = model.Forward(window.Reshape({1, kEntities, kLookback}));
-  Tensor ref = Tensor::Empty({kEntities, kHorizon});
+  Tensor out =
+      model.Forward(window.Reshape({1, window.size(0), window.size(1)}));
+  Tensor ref = Tensor::Empty({out.size(1), out.size(2)});
   std::memcpy(ref.data(), out.data(),
-              static_cast<size_t>(kEntities * kHorizon) * sizeof(float));
+              static_cast<size_t>(ref.numel()) * sizeof(float));
   return ref;
 }
 
@@ -202,22 +204,25 @@ TEST(ServeTest, EntityRequestsReturnTheirRows) {
   }
 }
 
-TEST(ServeTest, ConcurrentClientsBitIdentical) {
-  auto model = ServableModel();
+// Concurrent clients against a 2-worker engine, on the toy model and on
+// the bench shape, whose batched forwards split across the kernel pool.
+void ExpectConcurrentClientsBitIdentical(FocusModel* model) {
+  const int64_t entities = model->config().num_entities;
+  const int64_t lookback = model->config().lookback;
   constexpr int kClients = 4;
   constexpr int kPerClient = 10;
   std::vector<std::vector<Tensor>> windows(kClients);
   std::vector<std::vector<Tensor>> refs(kClients);
   for (int c = 0; c < kClients; ++c) {
     for (int i = 0; i < kPerClient; ++i) {
-      windows[c].push_back(
-          MakeWindow(1000 + static_cast<uint64_t>(c) * 100 + i));
+      Rng rng(1000 + static_cast<uint64_t>(c) * 100 + i);
+      windows[c].push_back(Tensor::Randn({entities, lookback}, rng));
       refs[c].push_back(EagerReference(*model, windows[c].back()));
     }
   }
   ServeOptions opts;
   opts.threads = 2;
-  ForecastEngine engine(model.get(), kEntities, kLookback, opts);
+  ForecastEngine engine(model, entities, lookback, opts);
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
@@ -233,6 +238,13 @@ TEST(ServeTest, ConcurrentClientsBitIdentical) {
   EXPECT_EQ(stats.requests, kClients * kPerClient);
   EXPECT_EQ(stats.eager_batches, 0)
       << "every worker's batch-1 plan must be prewarmed";
+}
+
+TEST(ServeTest, ConcurrentClientsBitIdentical) {
+  ExpectConcurrentClientsBitIdentical(ServableModel().get());
+  FocusModel split(SplitFocusConfig(), SplitFocusPrototypes());
+  split.SetTraining(false);
+  ExpectConcurrentClientsBitIdentical(&split);
 }
 
 TEST(ServeTest, ZeroSteadyStateGlobalAllocatorCallsOnRequestPath) {

@@ -333,12 +333,12 @@ TEST_F(SimdBitIdentityTest, RowKernels) {
 
 // End-to-end: the public ops (which route through ParallelFor and the
 // dispatch table) must also be backend-invariant, forward and backward.
-TEST_F(SimdBitIdentityTest, PublicOpsForwardBackward) {
-  auto run = [](simd::Backend backend) {
+void ExpectPublicOpsBackendInvariant(int64_t rows) {
+  auto run = [rows](simd::Backend backend) {
     EXPECT_TRUE(simd::SetBackend(backend));
     Rng rng(31);
-    Tensor a = Tensor::Randn({7, 129}, rng);
-    Tensor b = Tensor::Randn({7, 129}, rng);
+    Tensor a = Tensor::Randn({rows, 129}, rng);
+    Tensor b = Tensor::Randn({rows, 129}, rng);
     Tensor w = Tensor::Randn({129, 33}, rng);
     Tensor gamma = Tensor::Randn({33}, rng);
     Tensor beta = Tensor::Randn({33}, rng);
@@ -361,7 +361,15 @@ TEST_F(SimdBitIdentityTest, PublicOpsForwardBackward) {
     EXPECT_EQ(0, std::memcmp(avx2[t].data(), scalar[t].data(),
                              static_cast<size_t>(avx2[t].numel()) *
                                  sizeof(float)))
-        << "tensor " << t << " differs between backends";
+        << "tensor " << t << " differs between backends at " << rows
+        << " rows";
+  }
+}
+
+// At 7 rows and at 2048, where every op's kernel splits across the pool.
+TEST_F(SimdBitIdentityTest, PublicOpsForwardBackward) {
+  for (int64_t rows : {7, 2048}) {
+    ExpectPublicOpsBackendInvariant(rows);
   }
 }
 

@@ -3,6 +3,7 @@
 #include "tensor/tensor.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -148,6 +149,19 @@ TEST(TensorTest, MatMulBatched) {
   Tensor b = Tensor::FromVector({2, 2, 1}, {5, 6, 7, 8});
   Tensor c = MatMul(a, b);
   ExpectTensorNear(c, Tensor::FromVector({2, 1, 1}, {17, 53}));
+  // Large enough (6 row-block tasks of 64*70*90) to split across the
+  // pool: each batch entry equals its own 2-D product bit for bit.
+  Rng rng(12);
+  Tensor big_a = Tensor::Randn({3, 130, 70}, rng);
+  Tensor big_b = Tensor::Randn({3, 70, 90}, rng);
+  Tensor big_c = MatMul(big_a, big_b);
+  for (int64_t t = 0; t < 3; ++t) {
+    Tensor want = MatMul(Reshape(Slice(big_a, 0, t, t + 1), {130, 70}),
+                         Reshape(Slice(big_b, 0, t, t + 1), {70, 90}));
+    EXPECT_EQ(0, std::memcmp(big_c.data() + t * 130 * 90, want.data(),
+                             sizeof(float) * 130 * 90))
+        << "batch " << t;
+  }
 }
 
 TEST(TensorTest, MatMulBroadcastRhs) {
