@@ -3,7 +3,7 @@
 // O(kl) vs O(l^2) claim at kernel granularity), and offline clustering
 // throughput. The hot kernels additionally report achieved GFLOP/s and the
 // active FOCUS_SIMD backend (JSON `label`), so scalar-vs-AVX2 runs are
-// directly comparable in results/BENCH_simd.json.
+// directly comparable.
 //
 // Output: besides google-benchmark's console/JSON output, the binary can
 // emit the unified bench-result schema (obs/bench_report.h) that
@@ -35,8 +35,7 @@ namespace focus {
 namespace {
 
 // Every benchmark reports the pool size so serial/pooled runs recorded with
-// different FOCUS_NUM_THREADS are distinguishable in the JSON output
-// (results/BENCH_kernels.json keeps one run of each).
+// different FOCUS_NUM_THREADS are distinguishable in the JSON output.
 void ReportThreads(benchmark::State& state) {
   state.counters["threads"] =
       static_cast<double>(ThreadPool::Global().num_threads());

@@ -8,6 +8,7 @@
 #include <optional>
 
 #include "obs/trace.h"
+#include "optim/optimizer.h"
 #include "parallel/thread_pool.h"
 #include "tensor/simd/vec.h"
 #include "utils/check.h"
@@ -381,25 +382,8 @@ ClusteringResult SegmentClustering::Fit(const Tensor& segments) {
         }
       }
 
-      // AdamW update.
-      ++adam_t;
-      const float beta1 = 0.9f, beta2 = 0.999f, eps = 1e-8f;
-      const float bc1 = 1.0f - std::pow(beta1, static_cast<float>(adam_t));
-      const float bc2 = 1.0f - std::pow(beta2, static_cast<float>(adam_t));
-      float* proto_data = prototypes.data();
-      for (int64_t idx = 0; idx < k * p; ++idx) {
-        const float g = grad[static_cast<size_t>(idx)];
-        float& m = m_state[static_cast<size_t>(idx)];
-        float& v = v_state[static_cast<size_t>(idx)];
-        m = beta1 * m + (1.0f - beta1) * g;
-        v = beta2 * v + (1.0f - beta2) * g * g;
-        if (config_.weight_decay > 0.0f) {
-          proto_data[idx] -= config_.lr * config_.weight_decay *
-                             proto_data[idx];
-        }
-        proto_data[idx] -=
-            config_.lr * (m / bc1) / (std::sqrt(v / bc2) + eps);
-      }
+      optim::AdamWUpdate({prototypes.data(), grad.size()}, grad, m_state,
+                         v_state, ++adam_t, config_.lr, config_.weight_decay);
     }
     update_span.reset();
 

@@ -6,7 +6,6 @@
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "optim/optimizer.h"
-#include "optim/scheduler.h"
 #include "tensor/ops.h"
 #include "utils/logging.h"
 #include "utils/stopwatch.h"
@@ -19,9 +18,6 @@ TrainResult TrainModel(ForecastModel& model, const data::WindowDataset& train,
   Stopwatch timer;
   Rng rng(config.seed);
   optim::AdamW opt(model.Parameters(), config.lr, config.weight_decay);
-  optim::CosineDecayLr schedule(config.lr,
-                                std::max<int64_t>(config.max_steps, 1),
-                                config.lr * 0.1f);
   model.SetTraining(true);
 
   // Step-time percentiles describe this run only.
@@ -40,7 +36,6 @@ TrainResult TrainModel(ForecastModel& model, const data::WindowDataset& train,
                                      &rng);
     for (const auto& indices : batches) {
       if (step >= config.max_steps) break;
-      if (config.cosine_schedule) schedule.Apply(opt, step);
       Stopwatch step_timer;
       float loss_val = 0.0f;
       float grad_norm = 0.0f;
@@ -61,7 +56,6 @@ TrainResult TrainModel(ForecastModel& model, const data::WindowDataset& train,
       registry.AddCounter("train/steps");
       registry.SetGauge("train/loss", loss_val);
       registry.SetGauge("train/grad_norm", grad_norm);
-      registry.SetGauge("train/lr", opt.lr());
       if (config.verbose && step % 10 == 0) {
         FOCUS_LOG(Info) << model.name() << " step " << step << " loss "
                         << loss_val;

@@ -17,8 +17,6 @@ struct TrainConfig {
   float clip_norm = 5.0f;
   uint64_t seed = 1;
   bool verbose = false;
-  // Cosine-decay the learning rate to lr/10 over max_steps.
-  bool cosine_schedule = false;
   // Optional validation-driven early stopping: evaluate on `val` every
   // `eval_every` steps, stop after `patience` evaluations without
   // improvement, and restore the best checkpoint at the end.

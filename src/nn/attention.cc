@@ -36,26 +36,18 @@ Tensor MultiheadSelfAttention::MergeHeads(const Tensor& x,
 }
 
 Tensor MultiheadSelfAttention::Forward(const Tensor& x) {
-  return CrossForward(x, x);
-}
+  FOCUS_CHECK_EQ(x.dim(), 3) << "attention expects (B, T, dim)";
+  FOCUS_CHECK_EQ(x.size(-1), dim_);
+  const int64_t b = x.size(0);
 
-Tensor MultiheadSelfAttention::CrossForward(const Tensor& q_in,
-                                            const Tensor& kv_in) {
-  FOCUS_CHECK_EQ(q_in.dim(), 3) << "attention expects (B, T, dim)";
-  FOCUS_CHECK_EQ(kv_in.dim(), 3);
-  FOCUS_CHECK_EQ(q_in.size(-1), dim_);
-  FOCUS_CHECK_EQ(kv_in.size(-1), dim_);
-  const int64_t b = q_in.size(0);
-  FOCUS_CHECK_EQ(kv_in.size(0), b);
-
-  Tensor q = SplitHeads(wq_->Forward(q_in));   // (B*H, Tq, hd)
-  Tensor k = SplitHeads(wk_->Forward(kv_in));  // (B*H, Tk, hd)
-  Tensor v = SplitHeads(wv_->Forward(kv_in));
+  Tensor q = SplitHeads(wq_->Forward(x));  // (B*H, T, hd)
+  Tensor k = SplitHeads(wk_->Forward(x));
+  Tensor v = SplitHeads(wv_->Forward(x));
 
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   Tensor scores = MatMul(q, Transpose(k, 1, 2));
-  Tensor attn = SoftmaxLastDim(scores, scale);  // (B*H, Tq, Tk)
-  Tensor out = MatMul(attn, v);                // (B*H, Tq, hd)
+  Tensor attn = SoftmaxLastDim(scores, scale);  // (B*H, T, T)
+  Tensor out = MatMul(attn, v);                // (B*H, T, hd)
   return wo_->Forward(MergeHeads(out, b));
 }
 

@@ -20,10 +20,6 @@ class MultiheadSelfAttention : public UnaryModule {
 
   Tensor Forward(const Tensor& x) override;
 
-  // Cross attention: queries from `q` (B, Tq, dim), keys/values from `kv`
-  // (B, Tk, dim). Forward(x) == CrossForward(x, x).
-  Tensor CrossForward(const Tensor& q, const Tensor& kv);
-
  private:
   // (B, T, dim) -> (B*heads, T, head_dim)
   Tensor SplitHeads(const Tensor& x) const;

@@ -7,97 +7,55 @@
 namespace focus {
 namespace optim {
 
-Optimizer::Optimizer(std::vector<Tensor> params, float lr)
-    : params_(std::move(params)), lr_(lr) {
+void AdamWUpdate(std::span<float> param, std::span<const float> grad,
+                 std::span<float> m, std::span<float> v, int64_t t, float lr,
+                 float weight_decay) {
+  FOCUS_CHECK(grad.size() == param.size() && m.size() == param.size() &&
+              v.size() == param.size())
+      << "AdamW buffers differ in length";
+  constexpr float beta1 = kAdamBeta1, beta2 = kAdamBeta2;
+  const float bc1 = 1.0f - std::pow(beta1, static_cast<float>(t));
+  const float bc2 = 1.0f - std::pow(beta2, static_cast<float>(t));
+  for (size_t j = 0; j < param.size(); ++j) {
+    const float g = grad[j];
+    m[j] = beta1 * m[j] + (1.0f - beta1) * g;
+    v[j] = beta2 * v[j] + (1.0f - beta2) * g * g;
+    const float mhat = m[j] / bc1;
+    const float vhat = v[j] / bc2;
+    if (weight_decay > 0.0f) param[j] -= lr * weight_decay * param[j];
+    param[j] -= lr * mhat / (std::sqrt(vhat) + kAdamEps);
+  }
+}
+
+AdamW::AdamW(std::vector<Tensor> params, float lr, float weight_decay)
+    : params_(std::move(params)), lr_(lr), weight_decay_(weight_decay) {
   for (const Tensor& p : params_) {
     FOCUS_CHECK(p.defined() && p.requires_grad())
         << "optimizer parameter must be a defined leaf requiring grad";
   }
-}
-
-void Optimizer::ZeroGrad() {
-  for (Tensor& p : params_) p.ZeroGrad();
-}
-
-Sgd::Sgd(std::vector<Tensor> params, float lr, float momentum)
-    : Optimizer(std::move(params), lr), momentum_(momentum) {
-  velocity_.resize(params_.size());
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    Tensor p = params_[i];
-    Tensor g = p.Grad();
-    if (!g.defined()) continue;
-    float* pd = p.data();
-    const float* gd = g.data();
-    const int64_t n = p.numel();
-    if (momentum_ > 0.0f) {
-      auto& vel = velocity_[i];
-      if (vel.empty()) vel.assign(static_cast<size_t>(n), 0.0f);
-      for (int64_t j = 0; j < n; ++j) {
-        vel[static_cast<size_t>(j)] =
-            momentum_ * vel[static_cast<size_t>(j)] + gd[j];
-        pd[j] -= lr_ * vel[static_cast<size_t>(j)];
-      }
-    } else {
-      for (int64_t j = 0; j < n; ++j) pd[j] -= lr_ * gd[j];
-    }
-  }
-}
-
-Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
-           float eps)
-    : Optimizer(std::move(params), lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      eps_(eps) {
   m_.resize(params_.size());
   v_.resize(params_.size());
 }
 
-void Adam::AdamStep(float weight_decay, bool decoupled) {
+void AdamW::ZeroGrad() {
+  for (Tensor& p : params_) p.ZeroGrad();
+}
+
+void AdamW::Step() {
   ++t_;
-  const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
   for (size_t i = 0; i < params_.size(); ++i) {
     Tensor p = params_[i];
     Tensor g = p.Grad();
     if (!g.defined()) continue;
-    float* pd = p.data();
-    const float* gd = g.data();
-    const int64_t n = p.numel();
-    auto& m = m_[i];
-    auto& v = v_[i];
-    if (m.empty()) {
-      m.assign(static_cast<size_t>(n), 0.0f);
-      v.assign(static_cast<size_t>(n), 0.0f);
+    const size_t n = static_cast<size_t>(p.numel());
+    if (m_[i].empty()) {
+      m_[i].assign(n, 0.0f);
+      v_[i].assign(n, 0.0f);
     }
-    for (int64_t j = 0; j < n; ++j) {
-      float grad = gd[j];
-      if (weight_decay > 0.0f && !decoupled) grad += weight_decay * pd[j];
-      m[static_cast<size_t>(j)] =
-          beta1_ * m[static_cast<size_t>(j)] + (1.0f - beta1_) * grad;
-      v[static_cast<size_t>(j)] = beta2_ * v[static_cast<size_t>(j)] +
-                                  (1.0f - beta2_) * grad * grad;
-      const float mhat = m[static_cast<size_t>(j)] / bc1;
-      const float vhat = v[static_cast<size_t>(j)] / bc2;
-      if (weight_decay > 0.0f && decoupled) {
-        pd[j] -= lr_ * weight_decay * pd[j];
-      }
-      pd[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-    }
+    AdamWUpdate({p.data(), n}, {g.data(), n}, m_[i], v_[i], t_, lr_,
+                weight_decay_);
   }
 }
-
-void Adam::Step() { AdamStep(/*weight_decay=*/0.0f, /*decoupled=*/false); }
-
-AdamW::AdamW(std::vector<Tensor> params, float lr, float weight_decay,
-             float beta1, float beta2, float eps)
-    : Adam(std::move(params), lr, beta1, beta2, eps),
-      weight_decay_(weight_decay) {}
-
-void AdamW::Step() { AdamStep(weight_decay_, /*decoupled=*/true); }
 
 float ClipGradNorm(const std::vector<Tensor>& params, float max_norm) {
   double sq = 0.0;

@@ -9,7 +9,6 @@
 #define FOCUS_UTILS_ENV_H_
 
 #include <cerrno>
-#include <climits>
 #include <cstdlib>
 #include <string>
 
@@ -46,10 +45,6 @@ inline long GetEnvIntInRangeOr(const char* name, long fallback, long min_value,
     return fallback;
   }
   return parsed;
-}
-
-inline long GetEnvIntOr(const char* name, long fallback) {
-  return GetEnvIntInRangeOr(name, fallback, LONG_MIN, LONG_MAX);
 }
 
 }  // namespace focus

@@ -48,18 +48,4 @@ std::string Table::ToAscii() const {
   return out;
 }
 
-std::string Table::ToCsv() const {
-  auto join = [](const std::vector<std::string>& cells) {
-    std::string s;
-    for (size_t c = 0; c < cells.size(); ++c) {
-      if (c) s += ",";
-      s += cells[c];
-    }
-    return s + "\n";
-  };
-  std::string out = join(header_);
-  for (const auto& row : rows_) out += join(row);
-  return out;
-}
-
 }  // namespace focus

@@ -1,4 +1,4 @@
-// ASCII table and CSV rendering for benchmark harness output.
+// ASCII table rendering for benchmark harness output.
 //
 // Every bench binary prints its paper table / figure series through this
 // class so the output format is uniform and easy to diff against
@@ -20,9 +20,6 @@ class Table {
 
   // Renders with aligned columns and +---+ rules.
   std::string ToAscii() const;
-
-  // Renders as CSV (no quoting of commas; cells are simple tokens here).
-  std::string ToCsv() const;
 
   size_t num_rows() const { return rows_.size(); }
 

@@ -143,20 +143,6 @@ TEST(HarnessTest, EarlyStoppingRestoresBestCheckpoint) {
   EXPECT_NEAR(val_metrics.mse, result.best_val_mse, 1e-6);
 }
 
-TEST(HarnessTest, CosineScheduleStillConverges) {
-  auto profile = TinyProfile();
-  auto data = harness::PrepareDataset("ETTh1", profile);
-  auto model = harness::BuildModel("DLinear", data, 96, 24, profile);
-  auto train = harness::TrainWindows(data, 96, 24);
-  harness::TrainConfig tc;
-  tc.max_steps = 40;
-  tc.batch_size = 4;
-  tc.lr = 1e-2f;
-  tc.cosine_schedule = true;
-  auto result = harness::TrainModel(*model, train, tc);
-  EXPECT_LT(result.final_loss, result.first_loss);
-}
-
 TEST(AsciiPlotTest, ChartContainsGlyphsAndLegend) {
   std::vector<double> a = {0, 1, 2, 3, 2, 1, 0};
   std::vector<double> b = {3, 2, 1, 0, 1, 2, 3};

@@ -1,13 +1,9 @@
-// Tests for missing-value handling and rolling-origin evaluation.
-#include <cmath>
+// Tests for missing-value handling (data/impute).
 #include <limits>
 
 #include <gtest/gtest.h>
 
-#include "baselines/dlinear.h"
-#include "data/generator.h"
 #include "data/impute.h"
-#include "harness/rolling.h"
 
 namespace focus {
 namespace {
@@ -60,48 +56,6 @@ TEST(ImputeTest, NoNansIsNoOp) {
   EXPECT_EQ(data::ForwardFillImpute(&v), 0);
   EXPECT_EQ(data::LinearInterpolateImpute(&v), 0);
   for (int64_t i = 0; i < 4; ++i) EXPECT_EQ(v.At({0, i}), copy.At({0, i}));
-}
-
-TEST(RollingTest, FoldsAdvanceAndAggregate) {
-  data::GeneratorConfig gen;
-  gen.num_entities = 3;
-  gen.num_steps = 1200;
-  gen.steps_per_day = 24;
-  gen.seed = 5;
-  Tensor values = data::Generate(gen).values;
-
-  harness::RollingConfig cfg;
-  cfg.lookback = 48;
-  cfg.horizon = 12;
-  cfg.num_folds = 3;
-  cfg.fold_span = 100;
-  cfg.train.max_steps = 15;
-  cfg.train.batch_size = 4;
-  cfg.train.lr = 1e-2f;
-
-  auto result = harness::RollingOriginEvaluate(values, cfg, [&] {
-    baselines::DLinearConfig dl;
-    dl.lookback = 48;
-    dl.horizon = 12;
-    return std::make_unique<baselines::DLinear>(dl);
-  });
-  ASSERT_EQ(result.folds.size(), 3u);
-  EXPECT_EQ(result.folds[0].origin, 1200 - 300);
-  EXPECT_EQ(result.folds[1].origin, 1200 - 200);
-  EXPECT_EQ(result.folds[2].origin, 1200 - 100);
-  for (const auto& fold : result.folds) {
-    EXPECT_TRUE(std::isfinite(fold.metrics.mse));
-    EXPECT_GT(fold.metrics.count, 0);
-  }
-  // Aggregate is the count-weighted mean of the folds.
-  double expect_mse = 0;
-  int64_t total = 0;
-  for (const auto& fold : result.folds) {
-    expect_mse += fold.metrics.mse * fold.metrics.count;
-    total += fold.metrics.count;
-  }
-  EXPECT_NEAR(result.aggregate.mse, expect_mse / total, 1e-9);
-  EXPECT_EQ(result.aggregate.count, total);
 }
 
 }  // namespace

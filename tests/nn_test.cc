@@ -149,15 +149,6 @@ TEST(AttentionTest, SelfAttentionShapesAndGrad) {
                  subset, 1e-2, 5e-2, 6e-3);
 }
 
-TEST(AttentionTest, CrossAttentionQueryCountSetsOutputLength) {
-  Rng rng(15);
-  MultiheadSelfAttention attn(8, 2, rng);
-  Rng data_rng(16);
-  Tensor q = Tensor::Randn({2, 3, 8}, data_rng);
-  Tensor kv = Tensor::Randn({2, 7, 8}, data_rng);
-  EXPECT_EQ(attn.CrossForward(q, kv).shape(), (Shape{2, 3, 8}));
-}
-
 TEST(AttentionTest, PermutationEquivariance) {
   // Self-attention without positional encodings is permutation-equivariant:
   // permuting input tokens permutes outputs the same way.

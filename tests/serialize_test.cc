@@ -1,5 +1,4 @@
-// Tests for module checkpointing (state dict + in-memory snapshots) and
-// learning-rate schedules.
+// Tests for module checkpointing (state dict + in-memory snapshots).
 #include <cstdio>
 
 #include <gtest/gtest.h>
@@ -7,7 +6,6 @@
 #include "core/focus_model.h"
 #include "nn/attention.h"
 #include "nn/serialize.h"
-#include "optim/scheduler.h"
 #include "tests/test_util.h"
 
 namespace focus {
@@ -104,57 +102,6 @@ TEST(SerializeTest, SnapshotRestoreRoundTrip) {
   w.data()[0] = 999.0f;
   nn::RestoreParameters(lin, snapshot);
   EXPECT_EQ(w.data()[0], original);
-}
-
-// --- LR schedules -----------------------------------------------------------
-
-TEST(SchedulerTest, ConstantLr) {
-  optim::ConstantLr sched(0.1f);
-  EXPECT_EQ(sched.LrAt(0), 0.1f);
-  EXPECT_EQ(sched.LrAt(1000), 0.1f);
-}
-
-TEST(SchedulerTest, CosineDecayEndpoints) {
-  optim::CosineDecayLr sched(1.0f, 100, 0.1f);
-  EXPECT_NEAR(sched.LrAt(0), 1.0f, 1e-6);
-  EXPECT_NEAR(sched.LrAt(50), 0.55f, 1e-3);  // midpoint of [0.1, 1.0]
-  EXPECT_NEAR(sched.LrAt(100), 0.1f, 1e-6);
-  EXPECT_NEAR(sched.LrAt(500), 0.1f, 1e-6);  // clamped after total_steps
-}
-
-TEST(SchedulerTest, CosineDecayIsMonotoneNonIncreasing) {
-  optim::CosineDecayLr sched(1.0f, 64);
-  float prev = sched.LrAt(0);
-  for (int64_t s = 1; s <= 64; ++s) {
-    const float cur = sched.LrAt(s);
-    EXPECT_LE(cur, prev + 1e-7f);
-    prev = cur;
-  }
-}
-
-TEST(SchedulerTest, StepDecayHalvesOnSchedule) {
-  optim::StepDecayLr sched(0.8f, 10, 0.5f);
-  EXPECT_NEAR(sched.LrAt(0), 0.8f, 1e-6);
-  EXPECT_NEAR(sched.LrAt(9), 0.8f, 1e-6);
-  EXPECT_NEAR(sched.LrAt(10), 0.4f, 1e-6);
-  EXPECT_NEAR(sched.LrAt(25), 0.2f, 1e-6);
-}
-
-TEST(SchedulerTest, WarmupRampsThenDecays) {
-  optim::WarmupCosineLr sched(1.0f, 10, 110, 0.0f);
-  EXPECT_LT(sched.LrAt(0), 0.2f);          // early warmup
-  EXPECT_NEAR(sched.LrAt(9), 1.0f, 1e-5);  // warmup complete
-  EXPECT_GT(sched.LrAt(9), sched.LrAt(60));
-  EXPECT_NEAR(sched.LrAt(110), 0.0f, 1e-5);
-}
-
-TEST(SchedulerTest, ApplySetsOptimizerLr) {
-  Tensor p = Tensor::Ones({2});
-  p.SetRequiresGrad(true);
-  optim::Sgd opt({p}, 1.0f);
-  optim::StepDecayLr sched(1.0f, 5, 0.1f);
-  sched.Apply(opt, 7);
-  EXPECT_NEAR(opt.lr(), 0.1f, 1e-6);
 }
 
 }  // namespace
