@@ -50,7 +50,7 @@ ProtoAttn::ProtoAttn(Tensor prototypes, std::shared_ptr<nn::Linear> embed,
   int8_bank_ = std::make_shared<const cluster::PrototypeBank>(
       QuantizePrototypeBank(prototypes_).dequantized.data(), k, p);
   we_ = std::make_shared<nn::Linear>(d_model, d_model, rng);
-  wk_ = std::make_shared<nn::Linear>(d_model, d_model, rng);
+  wk_ = std::make_shared<nn::Linear>(d_model, d_model, rng, /*bias=*/false);
   wv_ = std::make_shared<nn::Linear>(d_model, d_model, rng);
   wo_ = std::make_shared<nn::Linear>(d_model, d_model, rng);
   RegisterModule("we", we_);
@@ -124,22 +124,27 @@ Tensor ProtoAttn::Forward(const Tensor& tokens_raw, const Tensor& tokens_emb) {
   const bool record = !InferenceMode::IsEnabled();
   if (record) last_assignment_ = a;
 
-  // Projections (Eq. 14).
-  Tensor c_emb = embed_->Forward(prototypes_);  // (k, d)
-  Tensor c_q = we_->Forward(c_emb);             // (k, d)
-  Tensor key = wk_->Forward(tokens_emb);        // (b, l, d)
-  Tensor value = wv_->Forward(tokens_emb);      // (b, l, d)
+  // Projections (Eq. 14-18) in the order the header derives: the queries
+  // go through W_k (which has no bias: softmax drops the per-row c_q b_k)
+  // and M = W_v W_o is applied once per token. q, M and c read parameters
+  // only, so a plan folds them at capture. c = b_v W_o + b_o is built as
+  // W_o(W_v(0)) because a plan cannot capture a Reshape of a parameter.
+  Tensor c_emb = embed_->Forward(prototypes_);                 // (k, d)
+  Tensor c_q = we_->Forward(c_emb);                            // (k, d)
+  Tensor q = MatMul(c_q, Transpose(wk_->weight(), 0, 1));      // (k, d)
+  Tensor m = MatMul(wv_->weight(), wo_->weight());             // (d, d)
+  Tensor c = wo_->Forward(wv_->Forward(Tensor::Zeros({1, d_model_})));
+  Tensor em = MatMul(tokens_emb, m);                           // (b, l, d)
 
   // Attention of prototype queries over tokens (Eq. 16): (b, k, l).
   const float scale = 1.0f / std::sqrt(static_cast<float>(d_model_));
-  Tensor scores = MatMul(c_q, Transpose(key, 1, 2));
+  Tensor scores = MatMul(q, Transpose(tokens_emb, 1, 2));
   Tensor attn = SoftmaxLastDim(scores, scale);
   if (record) last_attention_ = attn.Detach();
 
   // Per-prototype context, then scatter back to tokens via A (Eq. 17-18).
-  Tensor context = MatMul(attn, value);  // (b, k, d)
-  Tensor out = MatMul(a, context);       // (b, l, d)
-  return wo_->Forward(out);
+  Tensor context = Add(MatMul(attn, em), c);  // (b, k, d)
+  return MatMul(a, context);                  // (b, l, d)
 }
 
 }  // namespace core

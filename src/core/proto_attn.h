@@ -7,10 +7,17 @@
 //
 //   A      in {0,1}^(l x k)     one-hot assignments (constant wrt autograd)
 //   C_Q  = (C W_emb) W_E        embedded prototype queries      (k x d)
-//   K, V = Z W_K, Z W_V         token projections               (l x d)
-//   out  = A softmax(C_Q K^T / sqrt(d)) V                       (Eq. 18)
+//   K    = Z W_K                token keys (W_K has no bias)    (l x d)
+//   V    = Z W_V + b_V          token values                    (l x d)
+//   out  = A softmax(C_Q K^T / sqrt(d)) V W_O + b_O             (Eq. 18)
 //
-// Total cost is O(l k d) — linear in the number of tokens.
+// Forward evaluates Eq. 18 in an order that projects each token once:
+// scores = (C_Q W_K^T) Z^T and out = A (attn (Z M) + c), with M = W_V W_O
+// and c = b_V W_O + b_O. The rows of attn and of A sum to 1, so this is
+// the same product up to rounding. C_Q W_K^T, M and c depend on
+// parameters only. Per sequence the cost is one l x d x d product plus
+// O(l k d) attention, linear in the number of tokens, and a fixed
+// O(k d^2 + d^3) charge for the l-free terms.
 #ifndef FOCUS_CORE_PROTO_ATTN_H_
 #define FOCUS_CORE_PROTO_ATTN_H_
 

@@ -183,9 +183,6 @@ Tensor BroadcastTo(const Tensor& x, const Shape& shape) {
               }
             });
       });
-  // An equal-shape BroadcastTo returns a plain copy with no grad_fn.
-  if (x.shape() == shape) return out;
-
   Shape xs = x.shape();
   return autograd::MakeResult(
       out, "BroadcastTo", {x}, [xs](const Tensor& g) -> std::vector<Tensor> {

@@ -145,6 +145,19 @@ TEST(AutogradTest, BroadcastToBackward) {
       {a});
 }
 
+// A BroadcastTo whose target equals the input's shape is still a graph
+// node: the gradient reaches x unchanged.
+TEST(AutogradTest, EqualShapeBroadcastToKeepsGraph) {
+  Tensor x = MakeParam({3, 4}, 22);
+  Tensor y = BroadcastTo(x, x.shape());
+  ASSERT_TRUE(y.requires_grad());
+  SumAll(Mul(y, y)).Backward();
+  ASSERT_TRUE(x.Grad().defined());
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    EXPECT_FLOAT_EQ(x.Grad().data()[i], 2.0f * x.data()[i]);
+  }
+}
+
 TEST(AutogradTest, SoftmaxBackward) {
   Tensor a = MakeParam({3, 5}, 22);
   Rng rng(99);

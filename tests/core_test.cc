@@ -1,9 +1,16 @@
 // Tests for ProtoAttn and the FOCUS model: shapes across a parameter grid,
-// the Eq. 19 identical-rows property, linear-vs-quadratic FLOP scaling,
-// ablation variants, gradient flow, and end-to-end overfitting.
+// the Eq. 19 identical-rows property, the folded evaluation order against a
+// token-side reference, linear FLOP scaling, ablation variants, gradient
+// flow, and end-to-end overfitting.
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -136,9 +143,12 @@ TEST(ProtoAttnTest, Equation19SameAssignmentSameOutput) {
   }
 }
 
+// Paper Sec. VI-B: ProtoAttn's cost is linear in l. The prototype-side
+// terms (C_Q W_K^T, W_V W_O and the folded bias) are a fixed, l-free
+// charge, so the count is affine, not proportional: each doubling of l
+// adds twice the FLOPs of the previous one, exactly (the counts are
+// integers). Full self-attention would quadruple its score computation.
 TEST(ProtoAttnTest, FlopsScaleLinearlyInTokens) {
-  // Doubling l must ~double ProtoAttn FLOPs (paper's central claim), while
-  // full self-attention quadruples its score computation.
   Rng rng(9);
   auto embed = std::make_shared<nn::Linear>(8, 32, rng);
   ProtoAttn attn(MakePrototypes(8, 8, 10), embed, 32, 0.2f, rng);
@@ -150,13 +160,126 @@ TEST(ProtoAttnTest, FlopsScaleLinearlyInTokens) {
     NoGradGuard no_grad;
     FlopScope scope;
     attn.Forward(raw, emb);
-    return static_cast<double>(scope.Elapsed());
+    return scope.Elapsed();
   };
-  const double f1 = flops_for(32);
-  const double f2 = flops_for(64);
-  const double f4 = flops_for(128);
-  EXPECT_NEAR(f2 / f1, 2.0, 0.25);
-  EXPECT_NEAR(f4 / f2, 2.0, 0.25);
+  const int64_t f32 = flops_for(32);
+  const int64_t f64 = flops_for(64);
+  const int64_t f128 = flops_for(128);
+  EXPECT_EQ(f128 - f64, 2 * (f64 - f32));
+  // Projecting every token through W_K, W_V and W_O cost 255488 FLOPs
+  // per 32 tokens at this shape; one projection per token costs less.
+  EXPECT_LT(f64 - f32, 255488);
+}
+
+// Token-side reference of Eq. 16-18, built from public ops and the
+// module's own parameters: keys with a bias, and values and output
+// projected over the l token rows.
+struct TokenSideReference {
+  Tensor protos, a, b_k;
+  std::shared_ptr<nn::Linear> embed;
+  std::map<std::string, Tensor> params;
+
+  Tensor Forward(const Tensor& emb) const {
+    const float scale = 1.0f / std::sqrt(static_cast<float>(emb.size(-1)));
+    Tensor c_q = Add(MatMul(embed->Forward(protos), params.at("we.weight")),
+                     params.at("we.bias"));
+    Tensor key = Add(MatMul(emb, params.at("wk.weight")), b_k);
+    Tensor value =
+        Add(MatMul(emb, params.at("wv.weight")), params.at("wv.bias"));
+    Tensor attn = SoftmaxLastDim(MatMul(c_q, Transpose(key, 1, 2)), scale);
+    Tensor out = MatMul(a, MatMul(attn, value));
+    return Add(MatMul(out, params.at("wo.weight")), params.at("wo.bias"));
+  }
+};
+
+// Forward folds W_K into the queries and W_V W_O into one matrix; the
+// result and every gradient must match the token-side reference up to
+// rounding, for l below, at and above k.
+TEST(ProtoAttnTest, FoldedOrderMatchesTokenSideReference) {
+  constexpr int64_t kProtos = 6, kPatch = 8, kDim = 16, kBatch = 2;
+  for (int64_t l : {3, 6, 11}) {
+    SCOPED_TRACE("l = " + std::to_string(l));
+    Rng rng(30 + l);
+    auto embed = std::make_shared<nn::Linear>(kPatch, kDim, rng);
+    Tensor protos = MakePrototypes(kProtos, kPatch, 31);
+    ProtoAttn attn(protos, embed, kDim, 0.2f, rng);
+    Rng data_rng(32);
+    Tensor raw = Tensor::Randn({kBatch, l, kPatch}, data_rng);
+    Tensor weight = Tensor::Randn({kBatch, l, kDim}, data_rng);
+
+    TokenSideReference ref{protos, Tensor::Zeros({kBatch, l, kProtos}),
+                           Tensor::Randn({kDim}, data_rng), embed, {}};
+    ref.b_k.SetRequiresGrad(true);
+    for (auto& [name, param] : attn.NamedParameters()) {
+      ref.params[name] = param;
+    }
+    ASSERT_EQ(ref.params.count("wk.bias"), 0u) << "W_K carries no bias";
+    ASSERT_EQ(ref.params.count("wk.weight"), 1u);
+    const std::vector<int64_t> idx = attn.AssignTokens(raw);
+    for (size_t r = 0; r < idx.size(); ++r) {
+      ref.a.data()[static_cast<int64_t>(r) * kProtos + idx[r]] = 1.0f;
+    }
+
+    // Runs one forward and backward; returns the output and the
+    // gradients of the input embedding, the shared embedding and every
+    // ProtoAttn parameter, in that order.
+    auto run = [&](const std::function<Tensor(const Tensor&)>& forward) {
+      attn.ZeroGrad();
+      embed->ZeroGrad();
+      Tensor emb = embed->Forward(raw).Detach();
+      emb.SetRequiresGrad(true);
+      Tensor y = forward(emb);
+      SumAll(Mul(y, weight)).Backward();
+      std::vector<std::pair<std::string, Tensor>> grads = {
+          {"input embedding", emb.Grad()}};
+      for (auto& [name, param] : embed->NamedParameters()) {
+        grads.emplace_back("embed." + name, param.Grad());
+      }
+      for (auto& [name, param] : attn.NamedParameters()) {
+        grads.emplace_back(name, param.Grad());
+      }
+      return std::make_pair(y.Detach(), grads);
+    };
+    auto [y, grads] = run([&](const Tensor& emb) {
+      return attn.Forward(raw, emb);
+    });
+    auto [y_ref, grads_ref] = run([&](const Tensor& emb) {
+      return ref.Forward(emb);
+    });
+
+    // Reassociation moves the last bits only: about 1e-7 of max|y|.
+    auto expect_close = [](const std::string& what, const Tensor& got,
+                           const Tensor& want) {
+      ASSERT_TRUE(got.defined()) << what << " got no gradient";
+      ASSERT_EQ(got.shape(), want.shape()) << what;
+      float max_abs = 0.0f;
+      for (int64_t i = 0; i < want.numel(); ++i) {
+        max_abs = std::max(max_abs, std::fabs(want.data()[i]));
+      }
+      ASSERT_GT(max_abs, 0.0f) << what;
+      for (int64_t i = 0; i < want.numel(); ++i) {
+        EXPECT_NEAR(got.data()[i], want.data()[i], 1e-5 * max_abs)
+            << what << " at flat index " << i;
+      }
+    };
+    expect_close("output", y, y_ref);
+    ASSERT_EQ(grads.size(), grads_ref.size());
+    for (size_t i = 0; i < grads.size(); ++i) {
+      expect_close(grads[i].first, grads[i].second, grads_ref[i].second);
+    }
+    // The softmax drops c_q b_k, so the reference's key bias gets no
+    // gradient in exact arithmetic.
+    float max_wk_grad = 0.0f;
+    for (const auto& [name, g] : grads_ref) {
+      if (name != "wk.weight") continue;
+      for (int64_t i = 0; i < g.numel(); ++i) {
+        max_wk_grad = std::max(max_wk_grad, std::fabs(g.data()[i]));
+      }
+    }
+    for (int64_t i = 0; i < kDim; ++i) {
+      EXPECT_NEAR(ref.b_k.Grad().data()[i], 0.0f, 1e-5 * max_wk_grad);
+    }
+  }
 }
 
 TEST(ProtoAttnTest, GradientsFlowToProjections) {
@@ -170,7 +293,7 @@ TEST(ProtoAttnTest, GradientsFlowToProjections) {
   for (const auto& [pname, param] : attn.NamedParameters()) {
     EXPECT_TRUE(param.Grad().defined()) << pname << " got no gradient";
   }
-  // The shared embedding receives gradient through K/V too.
+  // The shared embedding receives gradient through the tokens too.
   EXPECT_TRUE(embed->Parameters()[0].Grad().defined());
 }
 

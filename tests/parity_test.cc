@@ -616,7 +616,11 @@ TEST(ParityTest, TrainStepSimdBackendBitIdentical) {
 
 // The models every plan parity test runs: FOCUS and two baselines over
 // (B, 3, 32) windows, and FOCUS at the bench shape over (B, 8, 512),
-// whose matmuls split across the pool.
+// whose matmuls split across the pool. Between them ProtoAttn runs with
+// fewer tokens than prototypes (the entity branches: l = 3 against k = 4
+// in the 3x32 FOCUS model, l = 8 against k = 16 in FOCUS-split), as many
+// (the 3x32 model's l = 4 patches) and more (FOCUS-split's temporal
+// branch, l = 32 against k = 16).
 struct PlannedCase {
   const char* name;
   std::function<std::unique_ptr<ForecastModel>()> make;
