@@ -12,12 +12,10 @@
 // span's FLOPs equal the forward's FlopScope delta, the spans' self-FLOPs
 // sum to the root's FLOPs, and every focus/* stage is nonzero.
 //
-// --bench-json=<path> additionally records every (model, L) latency/FLOP
-// probe in the unified bench-result schema (obs/bench_report.h) so
-// scripts/bench_diff.py can gate efficiency regressions across PRs.
 // --plan-json=<path> records the planned-vs-eager single-thread latency
-// section (src/plan execution path) in the same schema; the committed
-// recording lives at results/BENCH_plan.json.
+// section (src/plan execution path) in the unified bench-result schema
+// (obs/bench_report.h); the committed recording lives at
+// results/BENCH_plan.json.
 #include <algorithm>
 #include <cstdio>
 
@@ -36,10 +34,6 @@ int main(int argc, char** argv) {
   using namespace focus;
   FlagParser flags(argc, argv);
   obs::ApplyTraceFlag(flags);
-  const std::string bench_json = flags.GetString("bench-json", "");
-  obs::BenchReport bench_report = obs::MakeBenchReport(
-      static_cast<int>(ThreadPool::Global().num_threads()));
-  bench_report.note = "fig6 efficiency probes (1 fwd pass, batch 1)";
   auto profile = harness::MakeProfile();
   const std::vector<int64_t> lengths = {96, 192, 384, 512, 768};
   const int64_t horizon = 96;
@@ -65,17 +59,6 @@ int main(int argc, char** argv) {
                     Table::Num(report.peak_bytes / (1024.0 * 1024.0), 2),
                     Table::Num(report.parameters / 1e3, 1),
                     Table::Num(report.latency_ms, 1)});
-      obs::BenchEntry entry;
-      entry.name = "fig6/" + model_name + "/L=" + std::to_string(length);
-      entry.ns_per_op = report.latency_ms * 1e6;
-      if (report.latency_ms > 0.0) {
-        // flops / (latency_ms * 1e6) == GFLOP/s achieved by the probe.
-        entry.gflops = static_cast<double>(report.flops) /
-                       (report.latency_ms * 1e6);
-      }
-      entry.threads = static_cast<double>(bench_report.threads);
-      entry.label = bench_report.simd_backend;
-      bench_report.entries.push_back(std::move(entry));
     }
   }
   std::printf("%s", table.ToAscii().c_str());
@@ -211,14 +194,5 @@ int main(int argc, char** argv) {
   std::printf("%s", breakdown.ToAscii().c_str());
   std::printf("span self-FLOPs sum to the forward's FLOPs: %s\n",
               identity_ok ? "OK" : "MISMATCH");
-  if (!bench_json.empty()) {
-    const Status status = obs::WriteBenchReport(bench_report, bench_json);
-    if (!status.ok()) {
-      std::fprintf(stderr, "bench_fig6: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    std::printf("bench report written to %s (%zu entries)\n",
-                bench_json.c_str(), bench_report.entries.size());
-  }
   return identity_ok ? 0 : 1;
 }

@@ -5,17 +5,13 @@
 // active FOCUS_SIMD backend (JSON `label`), so scalar-vs-AVX2 runs are
 // directly comparable.
 //
-// Output: besides google-benchmark's console/JSON output, the binary can
-// emit the unified bench-result schema (obs/bench_report.h) that
-// scripts/bench_diff.py consumes: pass --focus-bench-json=<path>. --smoke
-// restricts the run to one fast shape per hot kernel family with a short
-// min-time — the perf leg of scripts/check.sh uses it to gate regressions
-// against results/BENCH_smoke_baseline.json.
+// Output is google-benchmark's own (--benchmark_format, --benchmark_out).
+// --smoke restricts the run to one fast shape per hot kernel family with a
+// short min-time; scripts/perf_pairs.py --workload kernels runs it in
+// pinned base/change pairs to gate kernel regressions against the parent.
 #include <benchmark/benchmark.h>
-#include <unistd.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -24,7 +20,6 @@
 #include "core/planned_forecaster.h"
 #include "core/proto_attn.h"
 #include "nn/attention.h"
-#include "obs/bench_report.h"
 #include "optim/optimizer.h"
 #include "parallel/thread_pool.h"
 #include "tensor/allocator.h"
@@ -34,10 +29,12 @@
 namespace focus {
 namespace {
 
-// Every benchmark reports the pool size so serial/pooled runs recorded with
-// different FOCUS_NUM_THREADS are distinguishable in the JSON output.
+// Every benchmark reports the kernel pool size so serial/pooled runs recorded
+// with different FOCUS_NUM_THREADS are distinguishable in the JSON output.
+// The counter is not called "threads": google-benchmark's JSON already has
+// that key (its own thread count), and a duplicate key drops one of them.
 void ReportThreads(benchmark::State& state) {
-  state.counters["threads"] =
+  state.counters["pool_threads"] =
       static_cast<double>(ThreadPool::Global().num_threads());
 }
 
@@ -53,8 +50,7 @@ void ReportGflops(benchmark::State& state, int64_t flops_per_iter) {
 }
 
 // Operand bytes moved per op (inputs read + outputs written, ideal
-// cache behaviour). Feeds the schema's optional bytes_per_op field so
-// bench_diff can attribute a speedup to bytes-moved reduction.
+// cache behaviour), so a speedup can be attributed to fewer bytes moved.
 void ReportBytes(benchmark::State& state, int64_t bytes_per_iter) {
   state.counters["bytes_per_op"] = static_cast<double>(bytes_per_iter);
 }
@@ -372,63 +368,15 @@ void BM_FocusForecastPlanned(benchmark::State& state) {
 BENCHMARK(BM_FocusForecastPlanned)->Arg(96)->Arg(512)
     ->Unit(benchmark::kMicrosecond);
 
-// Console reporter that additionally captures every finished run as a
-// schema entry (obs/bench_report.h). ns_per_op comes from the raw
-// accumulated real time so entries are comparable regardless of each
-// benchmark's display time unit.
-class SchemaCaptureReporter : public benchmark::ConsoleReporter {
- public:
-  using ConsoleReporter::ConsoleReporter;
-
-  void ReportRuns(const std::vector<Run>& reports) override {
-    for (const Run& run : reports) {
-      if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
-      obs::BenchEntry entry;
-      entry.name = run.benchmark_name();
-      if (run.iterations > 0) {
-        entry.ns_per_op = run.real_accumulated_time * 1e9 /
-                          static_cast<double>(run.iterations);
-      }
-      entry.label = run.report_label;
-      // Counters are finalized (rates already divided by time) before
-      // reporters see them.
-      auto it = run.counters.find("gflops");
-      if (it != run.counters.end()) entry.gflops = it->second.value;
-      it = run.counters.find("items_per_second");
-      if (it != run.counters.end()) {
-        entry.items_per_second = it->second.value;
-      }
-      it = run.counters.find("threads");
-      if (it != run.counters.end()) entry.threads = it->second.value;
-      it = run.counters.find("bytes_per_op");
-      if (it != run.counters.end()) entry.bytes_per_op = it->second.value;
-      entries.push_back(std::move(entry));
-    }
-    ConsoleReporter::ReportRuns(reports);
-  }
-
-  std::vector<obs::BenchEntry> entries;
-};
-
 }  // namespace
 }  // namespace focus
 
 int main(int argc, char** argv) {
-  std::string json_path;
   bool smoke = false;
   std::vector<char*> args;
-  const std::string kJsonFlag = "--focus-bench-json=";
-  const std::string kColorFlag = "--benchmark_color=";
-  std::string color = "auto";
   for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(kColorFlag, 0) == 0) color = arg.substr(kColorFlag.size());
-    if (arg == "--smoke") {
+    if (std::string(argv[i]) == "--smoke") {
       smoke = true;
-      continue;
-    }
-    if (arg.rfind(kJsonFlag, 0) == 0) {
-      json_path = arg.substr(kJsonFlag.size());
       continue;
     }
     args.push_back(argv[i]);
@@ -454,32 +402,7 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
     return 1;
   }
-  // A reporter handed to RunSpecifiedBenchmarks keeps the options it was
-  // built with, so --benchmark_color is resolved here as the library's
-  // own console reporter resolves it: "auto" colours a terminal only.
-  const bool use_color = color == "auto"
-                             ? isatty(STDOUT_FILENO) != 0
-                             : color == "true" || color == "yes" ||
-                                   color == "1";
-  focus::SchemaCaptureReporter reporter(
-      use_color ? benchmark::ConsoleReporter::OO_ColorTabular
-                : benchmark::ConsoleReporter::OO_Tabular);
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  if (!json_path.empty()) {
-    focus::obs::BenchReport report = focus::obs::MakeBenchReport(
-        static_cast<int>(focus::ThreadPool::Global().num_threads()));
-    report.note = smoke ? "bench_kernels --smoke" : "bench_kernels";
-    report.entries = std::move(reporter.entries);
-    const focus::Status status =
-        focus::obs::WriteBenchReport(report, json_path);
-    if (!status.ok()) {
-      std::fprintf(stderr, "bench_kernels: %s\n",
-                   status.ToString().c_str());
-      return 1;
-    }
-    std::printf("bench report written to %s (%zu entries)\n",
-                json_path.c_str(), report.entries.size());
-  }
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
 }

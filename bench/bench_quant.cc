@@ -11,9 +11,7 @@
 // scripts/check.sh).
 //
 // Entry names:
-//   quant_mse/<dataset>/<precision>  ns_per_op carries the MSE (these
-//       names never appear in the perf baselines, so bench_diff.py never
-//       misreads an accuracy number as a latency regression)
+//   quant_mse/<dataset>/<precision>  ns_per_op carries the MSE
 //   BM_QuantForecastPlanned/<lookback>/<precision>  steady-state planned
 //       forward latency on the fig6 compact config; bytes_per_op is the
 //       plan's measured per-replay operand traffic (PlanStats

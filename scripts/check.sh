@@ -24,12 +24,13 @@
 #                  budget committed in bench/bench_quant.cc.
 #
 # An optional `perf` leg (not in the default matrix — it needs a quiet
-# machine) builds bench_kernels in Release, runs its --smoke subset on a
-# one-thread pool with --focus-bench-json, and gates ns/op against the
-# committed baseline results/BENCH_smoke_baseline.json (recorded at
-# threads=1) via scripts/bench_diff.py. The threshold is deliberately
-# generous (50%) because CI containers share cores; it catches
-# order-of-magnitude regressions, not noise.
+# machine) runs scripts/perf_pairs.py --workload kernels: bench_kernels
+# --smoke from the parent (`git merge-base HEAD main`) and from the working
+# tree, each built in Release, in alternating pairs pinned to one CPU on a
+# one-thread pool. A kernel fails when the change's median ns/op is above
+# the parent's q3 by more than perf_pairs.py's KERNEL_BOUND. Both sides run
+# in one invocation because kernel timings do not carry across hosts, nor
+# across runs hours apart on one host.
 #
 # Each leg uses its own build directory (build-check / build-asan /
 # build-tsan) so instrumented objects never mix. Sanitizer legs disable
@@ -150,23 +151,8 @@ run_leg_tsan() {
 }
 
 run_leg_perf() {
-  # Opt-in perf-regression gate: smoke-run the kernel benchmarks and
-  # compare ns/op against the committed baseline. Threshold is generous
-  # (50%) — shared CI cores make tight gates flaky; this catches real
-  # regressions (algorithmic slowdowns, lost vectorization), not jitter.
-  local dir=build-perf
-  note "configure $dir (Release, bench only)"
-  cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-  note "build $dir (bench_kernels)"
-  cmake --build "$dir" --target bench_kernels -j "$JOBS"
-  # The baseline was recorded on a one-thread pool; pin the same size so
-  # pooled kernels are compared against like.
-  note "bench_kernels --smoke (FOCUS_NUM_THREADS=1)"
-  FOCUS_NUM_THREADS=1 "$dir/bench/bench_kernels" --smoke \
-    --focus-bench-json="$dir/BENCH_smoke.json"
-  note "bench_diff vs results/BENCH_smoke_baseline.json"
-  python3 scripts/bench_diff.py results/BENCH_smoke_baseline.json \
-    "$dir/BENCH_smoke.json" --threshold-pct=50
+  note "perf_pairs --workload kernels (parent vs working tree)"
+  python3 scripts/perf_pairs.py --workload kernels
 }
 
 [ $# -gt 0 ] && LEGS=("$@") \

@@ -22,8 +22,8 @@ namespace {
 
 std::string FormatExact(double v) {
   char buf[64];
-  // %.17g round-trips doubles exactly, so a reader (scripts/bench_diff.py)
-  // gets back the recorded value.
+  // %.17g round-trips doubles exactly, so a reader gets back the recorded
+  // value.
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }

@@ -1,9 +1,8 @@
 // Unified benchmark-result schema.
 //
 // Every benchmark binary that records numbers into results/ emits this one
-// JSON shape, so scripts/bench_diff.py can compare any two recordings —
-// across PRs, backends, and machines — and fail the perf gate on a
-// regression. The header pins the provenance a fair comparison needs:
+// JSON shape. The header pins the provenance a reader needs to tell which
+// commit, build and machine a committed number came from:
 //
 //   {
 //     "focus_bench_schema": 1,
@@ -18,13 +17,13 @@
 //     ]
 //   }
 //
-// ns_per_op is the one mandatory per-entry metric (the regression gate's
-// axis); gflops/items_per_second/threads/label/bytes_per_op are optional
+// ns_per_op is the one mandatory per-entry metric;
+// gflops/items_per_second/threads/label/bytes_per_op are optional
 // context (bytes_per_op — estimated operand bytes moved per op — is
 // emitted only when nonzero, so pre-existing reports parse unchanged).
-// Written by bench_kernels and bench_quant (--focus-bench-json=<path>) and
-// bench_fig6_efficiency (--bench-json=<path>); read back only by
-// scripts/bench_diff.py.
+// Written by bench_quant (--focus-bench-json=<path>, committed as
+// results/BENCH_quant.json) and bench_fig6_efficiency (--plan-json=<path>,
+// committed as results/BENCH_plan.json).
 #ifndef FOCUS_OBS_BENCH_REPORT_H_
 #define FOCUS_OBS_BENCH_REPORT_H_
 

@@ -224,7 +224,7 @@ obs::BenchReport PinnedBenchReport() {
   return report;
 }
 
-// What scripts/bench_diff.py reads: the schema's exact text, with names,
+// The schema's exact text as committed under results/, with names,
 // note and label escaped and doubles in round-trip %.17g form.
 const char kPinnedBenchJson[] =
     R"json({"focus_bench_schema":1,"date":"2026-01-02T03:04:05Z",)json"
